@@ -25,6 +25,7 @@ import (
 	"mapc/internal/dataset"
 	"mapc/internal/ml"
 	"mapc/internal/phasesum"
+	"mapc/internal/vision"
 )
 
 func main() {
@@ -55,6 +56,12 @@ func main() {
 		bag, err = parseBag(*bagSpec)
 		if err != nil {
 			fatal(fmt.Errorf("parsing -bag: %w", err))
+		}
+	}
+	// A bad member fails here, before any training.
+	for _, m := range bag {
+		if err := vision.CheckMember(m.Benchmark, m.Batch); err != nil {
+			fatal(fmt.Errorf("bag member %v: %w", m, err))
 		}
 	}
 
@@ -132,9 +139,6 @@ func parseBag(spec string) ([]dataset.Member, error) {
 	var bag []dataset.Member
 	for _, item := range strings.Split(spec, ",") {
 		item = strings.TrimSpace(item)
-		if item == "" {
-			return nil, fmt.Errorf("empty member in %q", spec)
-		}
 		m := dataset.Member{Benchmark: item, Batch: 20}
 		if bench, batch, ok := strings.Cut(item, "/"); ok {
 			v, err := strconv.Atoi(strings.TrimSpace(batch))

@@ -5,9 +5,8 @@
 //
 // Endpoints:
 //
-//	POST /v1/predict  {"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}
-//	                  or {"bag":[{"benchmark":…,"batch":…},…]}          (k-app bag)
-//	                  or {"bags":[{"a":…,"b":…},{"members":[…]},…]}     (batched, mixed forms)
+//	POST /v1/predict  {"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}
+//	                  or {"bags":[{"members":[…]},{"members":[…]},…]}   (batched)
 //	GET  /healthz
 //	GET  /metrics
 //
@@ -29,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -97,10 +95,13 @@ func main() {
 		}
 	}
 	if *benchmarks != "" {
-		cfg.Benchmarks = splitList(*benchmarks)
+		cfg.Benchmarks, err = dataset.ParseBenchmarks(*benchmarks)
+		if err != nil {
+			fatal(fmt.Errorf("parsing -benchmarks: %w", err))
+		}
 	}
 	if *batches != "" {
-		bs, err := parseInts(*batches)
+		bs, err := dataset.ParseBatches(*batches)
 		if err != nil {
 			fatal(fmt.Errorf("parsing -batches: %w", err))
 		}
@@ -183,7 +184,7 @@ func main() {
 		}
 	}
 	if *peers != "" {
-		peerList := splitList(*peers)
+		peerList := strings.Split(strings.ReplaceAll(*peers, " ", ""), ",")
 		srv.SetPeerFill(nil, peerList, 0)
 		fmt.Fprintf(os.Stderr, "mapc-serve: peer fill enabled against %d peer(s)\n", len(peerList))
 	}
@@ -222,27 +223,6 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "mapc-serve: drained; bye")
 	}
-}
-
-func splitList(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitList(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func fatal(err error) {

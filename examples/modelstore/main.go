@@ -63,7 +63,7 @@ func main() {
 		{{Benchmark: "svm", Batch: 80}, {Benchmark: "svm", Batch: 80}},
 	}
 	for _, req := range requests {
-		x, fairness, err := gen.FeaturesFor(req[0], req[1])
+		x, fairness, err := gen.BagFeatures(req[:])
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("trained tree: %d nodes, depth %d\n",
 		predictor.Tree().NodeCount(), predictor.Tree().Depth())
 
-	// Predict an unseen heterogeneous bag. FeaturesFor measures only what
+	// Predict an unseen heterogeneous bag. BagFeatures measures only what
 	// a scheduler can observe cheaply: isolated CPU/GPU runs and a CPU
 	// co-run for fairness — never the GPU bag itself.
 	gen, err := mapc.NewGenerator(mapc.DefaultConfig())
@@ -39,7 +39,7 @@ func main() {
 	}
 	a := mapc.Member{Benchmark: "sift", Batch: 40}
 	b := mapc.Member{Benchmark: "knn", Batch: 20}
-	x, fairness, err := gen.FeaturesFor(a, b)
+	x, fairness, err := gen.BagFeatures([]mapc.Member{a, b})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func main() {
 
 	// Compare against the simulated ground truth (which required actually
 	// running the bag on the GPU model).
-	truth, err := gen.MeasurePoint(a, b)
+	truth, err := gen.MeasureBag([]mapc.Member{a, b})
 	if err != nil {
 		log.Fatal(err)
 	}

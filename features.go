@@ -15,4 +15,5 @@ func FeatureKinds() []string { return features.KindNames() }
 // of nApps applications, matching Corpus.FeatureNames for nApps == 2.
 func FeatureNames(nApps int) ([]string, error) { return features.Names(nApps) }
 
-func benchmarkNames() []string { return vision.Names() }
+// Benchmarks returns the canonical benchmark names (Table II).
+func Benchmarks() []string { return vision.Names() }

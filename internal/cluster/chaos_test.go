@@ -14,7 +14,7 @@ import (
 )
 
 func pairBody(a string, ab int, b string, bb int) string {
-	return fmt.Sprintf(`{"a":{"benchmark":%q,"batch":%d},"b":{"benchmark":%q,"batch":%d}}`, a, ab, b, bb)
+	return fmt.Sprintf(`{"bag":[{"benchmark":%q,"batch":%d},{"benchmark":%q,"batch":%d}]}`, a, ab, b, bb)
 }
 
 // fixturePairs enumerates every pair the fixture model can serve, as

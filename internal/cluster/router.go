@@ -191,17 +191,10 @@ func (rt *Router) servePredict(w http.ResponseWriter, r *http.Request) int {
 		w.Header().Set("Allow", http.MethodPost)
 		return writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "use POST"})
 	}
-	body := http.MaxBytesReader(w, r.Body, routerMaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	var req serve.PredictRequest
-	if err := dec.Decode(&req); err != nil {
-		return writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
-	}
-	// Same trailing-data contract as the replicas: exactly one JSON value.
-	if tok, err := dec.Token(); err != io.EOF {
-		return writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{
-			Error: fmt.Sprintf("request body carries trailing data after the JSON value (next token %v); send exactly one JSON object", tok)})
+	// The replicas' decode: exactly one JSON object, no unknown fields.
+	req, err := serve.DecodeRequest(http.MaxBytesReader(w, r.Body, routerMaxBodyBytes))
+	if err != nil {
+		return writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 	}
 	bags, err := req.BagList()
 	if err != nil {

@@ -132,7 +132,7 @@ func TestRouterParityWithSingleReplica(t *testing.T) {
 	_, solo := newReplica(t)
 
 	bodies := []string{
-		`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":40}}`,
+		`{"bags":[{"members":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":40}]}]}`,
 		`{"bag":[{"benchmark":"surf","batch":40},{"benchmark":"sift","batch":20}]}`, // permuted members
 		mixBody(),
 	}
@@ -246,7 +246,7 @@ func TestRouterPropagatesReplicaErrors(t *testing.T) {
 	rh := rt.Handler()
 
 	// Unknown benchmark → the owning replica's 400 comes through.
-	rr := post(t, rh, `{"a":{"benchmark":"nosuch","batch":20},"b":{"benchmark":"surf","batch":20}}`)
+	rr := post(t, rh, `{"bag":[{"benchmark":"nosuch","batch":20},{"benchmark":"surf","batch":20}]}`)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("invalid bag answered %d: %s", rr.Code, rr.Body)
 	}
@@ -254,8 +254,25 @@ func TestRouterPropagatesReplicaErrors(t *testing.T) {
 		t.Errorf("replica's error body not propagated: %s", rr.Body)
 	}
 
-	// Router-level validation matches the replicas' contract.
-	rr = post(t, rh, `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}} trailing`)
+	// A batch past vision.MaxBatch (here 2^63-1, which used to wrap the
+	// transfer size negative and answer 200) is the replica's 400.
+	rr = post(t, rh, `{"bag":[{"benchmark":"sift","batch":9223372036854775807},{"benchmark":"surf","batch":20}]}`)
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "exceeds the maximum") {
+		t.Errorf("overflowing batch answered %d: %s", rr.Code, rr.Body)
+	}
+
+	// Router-level validation matches the replicas' contract, including
+	// the retired pair form at top level and inside bags.
+	for _, body := range []string{
+		`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`,
+		`{"bags":[{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}]}`,
+	} {
+		rr = post(t, rh, body)
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `{\"bag\":[…]} and/or {\"bags\":[{\"members\":[…]}]}`) {
+			t.Errorf("pair form %s answered %d: %s", body, rr.Code, rr.Body)
+		}
+	}
+	rr = post(t, rh, `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]} trailing`)
 	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "trailing data") {
 		t.Errorf("trailing data answered %d: %s", rr.Code, rr.Body)
 	}
@@ -273,7 +290,7 @@ func TestRouterAllReplicasDown(t *testing.T) {
 	for _, ts := range https {
 		ts.Close()
 	}
-	rr := post(t, rh, `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`)
+	rr := post(t, rh, `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`)
 	if rr.Code != http.StatusBadGateway {
 		t.Fatalf("total outage answered %d: %s", rr.Code, rr.Body)
 	}
@@ -337,7 +354,7 @@ func TestRouterWarmStartedReplicaParity(t *testing.T) {
 func TestRouterMetricsExposition(t *testing.T) {
 	rt, _, _ := newTier(t, 2)
 	rh := rt.Handler()
-	post(t, rh, `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`)
+	post(t, rh, `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`)
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rr := httptest.NewRecorder()
 	rh.ServeHTTP(rr, req)

@@ -125,7 +125,7 @@ func (p *Predictor) PredictVector(x []float64) (float64, error) {
 }
 
 // PredictRaw predicts from a raw (un-normalized) full-width vector, e.g.
-// one produced by dataset.Generator.FeaturesFor. The vector is copied.
+// one produced by dataset.Generator.BagFeatures. The vector is copied.
 // Vectors of the wrong width are rejected with a descriptive error naming
 // the model's scheme — a wrong-width vector means the caller featurized for
 // a different model and any prediction would be silently wrong.

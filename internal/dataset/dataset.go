@@ -337,6 +337,11 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if len(cfg.BatchSizes) == 0 {
 		return nil, fmt.Errorf("dataset: no batch sizes")
 	}
+	for i, bs := range cfg.BatchSizes {
+		if err := vision.CheckBatch(bs); err != nil {
+			return nil, fmt.Errorf("dataset: BatchSizes[%d]: %w", i, err)
+		}
+	}
 	if cfg.Threads <= 0 {
 		return nil, fmt.Errorf("dataset: non-positive thread count")
 	}
@@ -364,17 +369,13 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 	seen := make(map[string]int, len(cfg.Benchmarks))
 	for i, n := range cfg.Benchmarks {
-		if strings.TrimSpace(n) == "" {
-			return nil, fmt.Errorf("dataset: Benchmarks[%d] is empty; use a canonical Table-II benchmark name (one of %s)",
-				i, strings.Join(vision.Names(), ", "))
+		if err := vision.CheckName(n); err != nil {
+			return nil, fmt.Errorf("dataset: Benchmarks[%d]: %w", i, err)
 		}
 		if j, dup := seen[n]; dup {
 			return nil, fmt.Errorf("dataset: Benchmarks[%d] duplicates Benchmarks[%d] (%q); each benchmark may appear once", i, j, n)
 		}
 		seen[n] = i
-		if _, err := vision.ByName(n); err != nil {
-			return nil, fmt.Errorf("dataset: Benchmarks[%d]: %w", i, err)
-		}
 	}
 	var memo *simcache.Cache
 	if cfg.SimCacheMB > 0 {
@@ -397,8 +398,12 @@ func (g *Generator) SimCacheStats() simcache.Stats { return g.memo.Stats() }
 func (g *Generator) SetFaultInjector(h faultinject.Injector) { g.fault = h }
 
 // measure returns the memoized isolated measurement for member m, computing
-// it exactly once (singleflight) no matter how many goroutines ask.
+// it exactly once (singleflight) no matter how many goroutines ask. A
+// member that fails vision.CheckMember never enters the memo.
 func (g *Generator) measure(m Member) (*measurement, error) {
+	if err := vision.CheckMember(m.Benchmark, m.Batch); err != nil {
+		return nil, err
+	}
 	g.mu.Lock()
 	e, ok := g.cache[m]
 	if !ok {
@@ -612,12 +617,6 @@ func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x 
 	return x, fairness, nil
 }
 
-// FeaturesFor is BagFeatures for the paper's 2-application bags (the pair
-// entry point mapc-predict and the scheduler use).
-func (g *Generator) FeaturesFor(a, b Member) (x []float64, fairness float64, err error) {
-	return g.BagFeatures([]Member{a, b})
-}
-
 // MeasureBag produces the data point for a k-member bag: co-scheduled CPU
 // run for fairness, co-scheduled GPU run for the target. With
 // Config.CanonicalOrder, members are sorted heavier-first (by isolated CPU
@@ -671,11 +670,6 @@ func (g *Generator) MeasureBag(bag []Member) (Point, error) {
 		CPUTimes:    cpuTimes,
 		GPUTimes:    gpuTimes,
 	}, nil
-}
-
-// MeasurePoint is MeasureBag for the paper's 2-application bags.
-func (g *Generator) MeasurePoint(a, b Member) (Point, error) {
-	return g.MeasureBag([]Member{a, b})
 }
 
 // Bags enumerates the corpus's k-application bags in their canonical

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mapc/internal/features"
+	"mapc/internal/vision"
 )
 
 var (
@@ -63,14 +64,38 @@ func TestGeneratorConfigValidation(t *testing.T) {
 	}
 }
 
+func TestGeneratorBatchSizesValidation(t *testing.T) {
+	for _, tc := range []struct {
+		batches    []int
+		wantSubstr string
+	}{
+		{[]int{0}, "BatchSizes[0]: vision: non-positive batch 0"},
+		{[]int{20, -1}, "BatchSizes[1]: vision: non-positive batch -1"},
+		{[]int{vision.MaxBatch + 1}, "BatchSizes[0]: vision: batch 65537 exceeds the maximum"},
+		{[]int{20, math.MaxInt64}, "BatchSizes[1]"},
+	} {
+		cfg := DefaultConfig()
+		cfg.BatchSizes = tc.batches
+		_, err := NewGenerator(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.wantSubstr) {
+			t.Errorf("BatchSizes %v: error %v, want one containing %q", tc.batches, err, tc.wantSubstr)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.BatchSizes = []int{1, vision.MaxBatch}
+	if _, err := NewGenerator(cfg); err != nil {
+		t.Errorf("BatchSizes at the bounds rejected: %v", err)
+	}
+}
+
 func TestGeneratorBenchmarksValidation(t *testing.T) {
 	cases := []struct {
 		name       string
 		benchmarks []string
 		wantSubstr string
 	}{
-		{"empty entry", []string{"sift", ""}, "Benchmarks[1] is empty"},
-		{"whitespace entry", []string{"  ", "surf"}, "Benchmarks[0] is empty"},
+		{"empty entry", []string{"sift", ""}, "Benchmarks[1]: vision: empty benchmark name"},
+		{"whitespace entry", []string{"  ", "surf"}, "Benchmarks[0]: vision: empty benchmark name"},
 		{"unknown entry", []string{"sift", "nosuchbench"}, "Benchmarks[1]"},
 		{"duplicate entry", []string{"sift", "surf", "sift"}, "duplicates"},
 	}
@@ -199,54 +224,54 @@ func TestBenchmarkNamesAndContains(t *testing.T) {
 	}
 }
 
-func TestMeasurePointDeterministic(t *testing.T) {
+func TestMeasureBagDeterministic(t *testing.T) {
 	gen, err := NewGenerator(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := Member{Benchmark: "fast", Batch: 20}
 	b := Member{Benchmark: "hog", Batch: 20}
-	p1, err := gen.MeasurePoint(a, b)
+	p1, err := gen.MeasureBag([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := gen.MeasurePoint(a, b)
+	p2, err := gen.MeasureBag([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p1, p2) {
-		t.Fatal("MeasurePoint not deterministic")
+		t.Fatal("MeasureBag not deterministic")
 	}
 	// Canonical ordering makes the pair order-insensitive.
-	p3, err := gen.MeasurePoint(b, a)
+	p3, err := gen.MeasureBag([]Member{b, a})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p1, p3) {
-		t.Fatal("MeasurePoint depends on argument order despite canonicalization")
+		t.Fatal("MeasureBag depends on member order despite canonicalization")
 	}
 }
 
-func TestFeaturesForMatchesMeasurePoint(t *testing.T) {
+func TestBagFeaturesMatchesMeasureBag(t *testing.T) {
 	gen, err := NewGenerator(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := Member{Benchmark: "sift", Batch: 20}
 	b := Member{Benchmark: "knn", Batch: 20}
-	x, fairness, err := gen.FeaturesFor(a, b)
+	x, fairness, err := gen.BagFeatures([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := gen.MeasurePoint(a, b)
+	p, err := gen.MeasureBag([]Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(fairness-p.Fairness) > 1e-12 {
 		t.Errorf("fairness %v vs point %v", fairness, p.Fairness)
 	}
-	// FeaturesFor is raw; the point was normalized by the corpus divisor
-	// only during Generate (not in MeasurePoint alone), so the raw
+	// BagFeatures is raw; the point was normalized by the corpus divisor
+	// only during Generate (not in MeasureBag alone), so the raw
 	// vectors must agree directly here.
 	if len(x) != len(p.X) {
 		t.Fatalf("widths differ: %d vs %d", len(x), len(p.X))
@@ -258,14 +283,37 @@ func TestFeaturesForMatchesMeasurePoint(t *testing.T) {
 	}
 }
 
-func TestMeasurePointUnknownBenchmark(t *testing.T) {
+// TestMeasureBagUnknownBenchmark: an unknown name or an out-of-range
+// batch fails before measurement and never enters the member memo.
+func TestMeasureBagUnknownBenchmark(t *testing.T) {
 	gen, err := NewGenerator(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gen.MeasurePoint(Member{Benchmark: "nope", Batch: 20},
-		Member{Benchmark: "fast", Batch: 20}); err == nil {
-		t.Fatal("unknown benchmark accepted")
+	fast := Member{Benchmark: "fast", Batch: 20}
+	for _, bad := range []Member{
+		{Benchmark: "nope", Batch: 20},
+		{Benchmark: "", Batch: 20},
+		{Benchmark: "sift", Batch: 0},
+		{Benchmark: "sift", Batch: vision.MaxBatch + 1},
+		{Benchmark: "sift", Batch: math.MaxInt64},
+	} {
+		if _, err := gen.MeasureBag([]Member{bad, fast}); err == nil {
+			t.Errorf("bag with %v accepted", bad)
+		}
+		if _, _, err := gen.BagFeatures([]Member{fast, bad}); err == nil {
+			t.Errorf("features for a bag with %v computed", bad)
+		}
+		if _, err := gen.Workload(bad); err == nil {
+			t.Errorf("workload for %v computed", bad)
+		}
+	}
+	gen.mu.Lock()
+	defer gen.mu.Unlock()
+	for m := range gen.cache {
+		if m != fast {
+			t.Errorf("invalid member %v entered the memo", m)
+		}
 	}
 }
 

@@ -53,17 +53,11 @@ const (
 	FaultSiteJournalAppend = "dataset.journal.append"
 )
 
-// BagKey is the canonical journal key for the 2-application bag (a, b) as
-// enumerated by Bags(): member order is the enumeration order, so the same
-// corpus position always maps to the same key across runs and worker
-// counts.
-func BagKey(a, b Member) string {
-	return BagKeyOf([]Member{a, b})
-}
-
-// BagKeyOf is BagKey for k-member bags: members joined by "+" in
-// enumeration order. For k=2 it produces exactly the legacy pair key, so
-// v1 journals written by the pair pipeline resume unchanged.
+// BagKeyOf is the canonical journal key for a bag as enumerated by
+// Bags(): members joined by "+" in enumeration order, so the same corpus
+// position always maps to the same key across runs and worker counts. For
+// a 2-member bag it is the pair pipeline's "a+b" key, so v1 journals
+// resume unchanged.
 func BagKeyOf(bag []Member) string {
 	parts := make([]string, len(bag))
 	for i, m := range bag {

@@ -210,7 +210,7 @@ func TestBagsKSweepShapes(t *testing.T) {
 			}
 			for i := range c.Points {
 				p := &c.Points[i]
-				if sortedBagKey(p.Members) != sortedBagKey(bags[i]) {
+				if sortedKey(p.Members) != sortedKey(bags[i]) {
 					t.Errorf("point %d members %v, bag %v", i, p.Members, bags[i])
 				}
 				if len(p.X) != wantWidth {
@@ -230,7 +230,7 @@ func TestBagsKSweepShapes(t *testing.T) {
 
 // sortedBagKey is the multiset identity of a bag: its key after sorting
 // by (benchmark, batch).
-func sortedBagKey(ms []Member) string {
+func sortedKey(ms []Member) string {
 	s := append([]Member(nil), ms...)
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && (s[j].Benchmark < s[j-1].Benchmark ||
@@ -401,13 +401,11 @@ func TestCorpusKDifferentialOracles(t *testing.T) {
 }
 
 // TestBagKeyPairEquality pins that BagKeyOf on a two-member slice is the
-// legacy pair key byte for byte — the journal replay index depends on it.
+// pair pipeline's key byte for byte — the journal replay index depends on
+// it.
 func TestBagKeyPairEquality(t *testing.T) {
 	a := Member{Benchmark: "sift", Batch: 20}
 	b := Member{Benchmark: "surf", Batch: 40}
-	if BagKey(a, b) != BagKeyOf([]Member{a, b}) {
-		t.Errorf("BagKey %q != BagKeyOf %q", BagKey(a, b), BagKeyOf([]Member{a, b}))
-	}
 	if got := BagKeyOf([]Member{a, b}); got != "sift/20+surf/40" {
 		t.Errorf("pair key %q, want sift/20+surf/40", got)
 	}

@@ -278,12 +278,12 @@ func TestMeasureCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestConcurrentMeasurePoint hammers MeasurePoint itself on overlapping
+// TestConcurrentMeasureBag hammers MeasureBag itself on overlapping
 // bags (shared members) and checks every goroutine computes the same
 // points a serial generator does.
-func TestConcurrentMeasurePoint(t *testing.T) {
+func TestConcurrentMeasureBag(t *testing.T) {
 	cfg := smallConfig()
-	bags := [][2]Member{
+	bags := [][]Member{
 		{{Benchmark: "fast", Batch: 20}, {Benchmark: "hog", Batch: 20}},
 		{{Benchmark: "fast", Batch: 20}, {Benchmark: "knn", Batch: 20}},
 		{{Benchmark: "hog", Batch: 20}, {Benchmark: "knn", Batch: 20}},
@@ -296,7 +296,7 @@ func TestConcurrentMeasurePoint(t *testing.T) {
 	}
 	want := make([]Point, len(bags))
 	for i, bag := range bags {
-		want[i], err = serialGen.MeasurePoint(bag[0], bag[1])
+		want[i], err = serialGen.MeasureBag(bag)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,9 +312,9 @@ func TestConcurrentMeasurePoint(t *testing.T) {
 	for r := 0; r < repeat; r++ {
 		for i, bag := range bags {
 			wg.Add(1)
-			go func(i int, bag [2]Member) {
+			go func(i int, bag []Member) {
 				defer wg.Done()
-				p, err := gen.MeasurePoint(bag[0], bag[1])
+				p, err := gen.MeasureBag(bag)
 				if err != nil {
 					errs <- err
 					return

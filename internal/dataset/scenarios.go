@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mapc/internal/vision"
 )
 
 // The scenario matrix: a k × share-skew grid replayed through the analytic
@@ -86,6 +88,37 @@ func ParseShares(spec string) ([]float64, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("dataset: empty share vector %q", spec)
+	}
+	return out, nil
+}
+
+// ParseBenchmarks parses a -benchmarks flag value such as "fast, hog,knn";
+// every name must pass vision.CheckName.
+func ParseBenchmarks(spec string) ([]string, error) {
+	names := strings.Split(spec, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+		if err := vision.CheckName(names[i]); err != nil {
+			return nil, fmt.Errorf("dataset: benchmark list %q: %w", spec, err)
+		}
+	}
+	return names, nil
+}
+
+// ParseBatches parses a -batches flag value such as "20,40,80"; every size
+// must pass vision.CheckBatch.
+func ParseBatches(spec string) ([]int, error) {
+	parts := strings.Split(spec, ",")
+	out := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("dataset: batch size %q is not an integer", p)
+		}
+		if err := vision.CheckBatch(v); err != nil {
+			return nil, fmt.Errorf("dataset: batch list %q: %w", spec, err)
+		}
+		out[i] = v
 	}
 	return out, nil
 }

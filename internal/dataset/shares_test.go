@@ -1,11 +1,14 @@
 package dataset
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mapc/internal/phasesum"
+	"mapc/internal/vision"
 )
 
 // End-to-end tests for Config.Shares: validation, journal fingerprints,
@@ -171,6 +174,65 @@ func TestParseShares(t *testing.T) {
 	for _, bad := range []string{"", "a/b", "0.7;0.3"} {
 		if _, err := ParseShares(bad); err == nil {
 			t.Errorf("ParseShares(%q) accepted", bad)
+		}
+	}
+}
+
+func TestParseBenchmarks(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []string
+		err  string // error substring; "" = valid
+	}{
+		{"fast", []string{"fast"}, ""},
+		{"fast, hog ,knn", []string{"fast", "hog", "knn"}, ""},
+		{"sift,sift", []string{"sift", "sift"}, ""}, // duplicates are NewGenerator's call
+		{"", nil, "empty benchmark name"},
+		{"fast,,hog", nil, "empty benchmark name"},
+		{"fast,", nil, "empty benchmark name"},
+		{"fast,nosuch", nil, `unknown benchmark "nosuch"`},
+		{"FAST", nil, "unknown benchmark"},
+	} {
+		got, err := ParseBenchmarks(tc.spec)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseBenchmarks(%q) = %v, %v; want error containing %q", tc.spec, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseBenchmarks(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
+		}
+	}
+}
+
+func TestParseBatches(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []int
+		err  string // error substring; "" = valid
+	}{
+		{"20", []int{20}, ""},
+		{"20, 40 ,80", []int{20, 40, 80}, ""},
+		{fmt.Sprint(vision.MaxBatch), []int{vision.MaxBatch}, ""},
+		{"", nil, "not an integer"},
+		{"20,,40", nil, "not an integer"},
+		{"20,x", nil, "not an integer"},
+		{"0", nil, "non-positive batch"},
+		{"20,-4", nil, "non-positive batch"},
+		{fmt.Sprint(vision.MaxBatch + 1), nil, "exceeds the maximum"},
+		{"9223372036854775807", nil, "exceeds the maximum"},
+		{"9223372036854775808", nil, "not an integer"},
+	} {
+		got, err := ParseBatches(tc.spec)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ParseBatches(%q) = %v, %v; want error containing %q", tc.spec, got, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseBatches(%q) = %v, %v; want %v", tc.spec, got, err, tc.want)
 		}
 	}
 }

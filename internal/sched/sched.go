@@ -104,7 +104,7 @@ func (s *Scheduler) PredictBag(a, b dataset.Member) (float64, error) {
 	if s.predictor == nil {
 		return 0, errors.New("sched: no predictor configured")
 	}
-	x, _, err := s.gen.FeaturesFor(a, b)
+	x, _, err := s.gen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		return 0, err
 	}

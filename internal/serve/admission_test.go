@@ -56,7 +56,7 @@ func TestAdmissionBoundsBackgroundWork(t *testing.T) {
 	// the burst must be shed with 503 *before* starting more work.
 	var got504, got503 atomic.Int64
 	for i := 0; i < burst; i++ {
-		body := fmt.Sprintf(`{"a":{"benchmark":"sift","batch":%d},"b":{"benchmark":"surf","batch":%d}}`, i+1, i+1)
+		body := fmt.Sprintf(`{"bag":[{"benchmark":"sift","batch":%d},{"benchmark":"surf","batch":%d}]}`, i+1, i+1)
 		rr := doJSON(t, h, http.MethodPost, "/v1/predict", body)
 		switch rr.Code {
 		case http.StatusGatewayTimeout:
@@ -83,7 +83,7 @@ func TestAdmissionBoundsBackgroundWork(t *testing.T) {
 	close(block)
 	waitFor(t, func() bool { return s.Metrics().InFlight() == 0 })
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict",
-		`{"a":{"benchmark":"sift","batch":999},"b":{"benchmark":"surf","batch":999}}`)
+		`{"bag":[{"benchmark":"sift","batch":999},{"benchmark":"surf","batch":999}]}`)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("request after drain answered %d: %s", rr.Code, rr.Body)
 	}
@@ -95,7 +95,7 @@ func TestAdmissionBoundsBackgroundWork(t *testing.T) {
 func TestPredictRejectsTrailingData(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
-	valid := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+	valid := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
 	cases := []struct {
 		name     string
 		body     string
@@ -144,7 +144,7 @@ func TestCachedFieldOnlyForPublishedEntries(t *testing.T) {
 		return x, 0.25, nil
 	}
 	h := s.Handler()
-	body := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
 
 	cachedOf := func(rr fmt.Stringer, raw []byte) bool {
 		t.Helper()
@@ -276,7 +276,7 @@ func TestMetricsExposeFeatureCacheEvictions(t *testing.T) {
 	h := s.Handler()
 
 	for i := 0; i < 50; i++ {
-		body := fmt.Sprintf(`{"a":{"benchmark":"sift","batch":%d},"b":{"benchmark":"surf","batch":%d}}`, i+1, i+1)
+		body := fmt.Sprintf(`{"bag":[{"benchmark":"sift","batch":%d},{"benchmark":"surf","batch":%d}]}`, i+1, i+1)
 		if rr := doJSON(t, h, http.MethodPost, "/v1/predict", body); rr.Code != http.StatusOK {
 			t.Fatalf("request %d: %d %s", i, rr.Code, rr.Body)
 		}

@@ -46,7 +46,7 @@ func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan stru
 }
 
 func brownoutBody(i int) string {
-	return fmt.Sprintf(`{"a":{"benchmark":"sift","batch":%d},"b":{"benchmark":"surf","batch":%d}}`, i+1, i+1)
+	return fmt.Sprintf(`{"bag":[{"benchmark":"sift","batch":%d},{"benchmark":"surf","batch":%d}]}`, i+1, i+1)
 }
 
 func decodePredict(t *testing.T, rr *httptest.ResponseRecorder) PredictResponse {

@@ -99,8 +99,8 @@ func TestServerConcurrentPredictHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				body := fmt.Sprintf(
-					`{"bags":[{"a":{"benchmark":"sift","batch":%d},"b":{"benchmark":"surf","batch":%d}},
-					          {"a":{"benchmark":"surf","batch":%d},"b":{"benchmark":"sift","batch":%d}}]}`,
+					`{"bags":[{"members":[{"benchmark":"sift","batch":%d},{"benchmark":"surf","batch":%d}]},
+					          {"members":[{"benchmark":"surf","batch":%d},{"benchmark":"sift","batch":%d}]}]}`,
 					20+(i%3)*20, 20+(g%3)*20, 20, 40)
 				rr := doJSON(t, h, http.MethodPost, "/v1/predict", body)
 				switch rr.Code {

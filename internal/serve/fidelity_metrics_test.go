@@ -55,7 +55,7 @@ func TestFidelityMetricsExposition(t *testing.T) {
 	}
 	h := s.Handler()
 
-	body := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":40}}`
+	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":40}]}`
 	if rr := doJSON(t, h, http.MethodPost, "/v1/predict", body); rr.Code != http.StatusOK {
 		t.Fatalf("predict code %d body %s", rr.Code, rr.Body)
 	}
@@ -92,7 +92,7 @@ func TestFidelityMetricsDefaultExact(t *testing.T) {
 	fixture(t)
 	s := newTestServer(t, nil)
 	h := s.Handler()
-	body := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
 	if rr := doJSON(t, h, http.MethodPost, "/v1/predict", body); rr.Code != http.StatusOK {
 		t.Fatalf("predict code %d body %s", rr.Code, rr.Body)
 	}

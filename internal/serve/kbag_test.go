@@ -163,7 +163,7 @@ func TestPredictK3BagParityAndPermutation(t *testing.T) {
 // against a pair model each answer 400 with the trained size and the
 // remedy in the message.
 func TestPredictWrongBagSize400(t *testing.T) {
-	pairBody := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+	pairBody := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
 
 	rr := doJSON(t, newK3Server(t, nil).Handler(), http.MethodPost, "/v1/predict", pairBody)
 	if rr.Code != http.StatusBadRequest {
@@ -195,7 +195,7 @@ func TestPredictWrongBagSize400(t *testing.T) {
 	// In a batched request the offending bag is identified by index.
 	mixed := `{"bags":[
 		{"members":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":40},{"benchmark":"knn","batch":20}]},
-		{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}]}`
+		{"members":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}]}`
 	rr = doJSON(t, newK3Server(t, nil).Handler(), http.MethodPost, "/v1/predict", mixed)
 	if rr.Code != http.StatusBadRequest {
 		t.Fatalf("mixed-k batch answered %d: %s", rr.Code, rr.Body)
@@ -208,17 +208,19 @@ func TestPredictWrongBagSize400(t *testing.T) {
 	}
 }
 
-// TestPredictBagFormValidation covers the new request-shape errors: a bag
-// that mixes the members list with the legacy a/b fields, and an
-// explicitly empty members list.
+// TestPredictBagFormValidation covers the request-shape errors: a bag
+// that mixes the members list with the retired a/b fields, the a/b form
+// itself, and explicitly empty lists. Each names the accepted forms.
 func TestPredictBagFormValidation(t *testing.T) {
 	h := newK3Server(t, nil).Handler()
 	cases := []struct {
 		name, body, wantSub string
 	}{
-		{"mixed forms", `{"bags":[{"a":{"benchmark":"sift","batch":20},"members":[{"benchmark":"surf","batch":20}]}]}`, "one form per bag"},
-		{"empty members", `{"bags":[{"members":[]}]}`, "bags[0]"},
-		{"empty bag list", `{"bag":[]}`, "no bags"},
+		{"mixed forms", `{"bags":[{"a":{"benchmark":"sift","batch":20},"members":[{"benchmark":"surf","batch":20}]}]}`, requestForms},
+		{"pair form", `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`, requestForms},
+		{"pair form in bags", `{"bags":[{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}]}`, requestForms},
+		{"empty members", `{"bags":[{"members":[]}]}`, "bags[0] has no \"members\"; " + requestForms},
+		{"empty bag list", `{"bag":[]}`, "no bags: " + requestForms},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 	"mapc/internal/dataset"
 )
 
-const predictBody = `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+const predictBody = `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
 
 // TestPredictTaskPanicReturns500AndProcessSurvives is the acceptance
 // check: a panic injected into one measurement task answers HTTP 500,

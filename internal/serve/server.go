@@ -28,13 +28,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -338,7 +336,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // parseBags validates and flattens the request into a list of member
 // sequences (wire types live in wire.go, shared with the cluster router).
-// Every bag's size must match the model's trained bag size.
+// Every bag's size must match the model's trained bag size, and every
+// member must pass vision.CheckMember.
 func (s *Server) parseBags(req *PredictRequest) ([][]Member, error) {
 	bags, err := req.BagList()
 	if err != nil {
@@ -354,14 +353,8 @@ func (s *Server) parseBags(req *PredictRequest) ([][]Member, error) {
 				i, len(bag), s.trainedK, len(bag))
 		}
 		for _, m := range bag {
-			if strings.TrimSpace(m.Benchmark) == "" {
-				return nil, fmt.Errorf("bag %d: empty benchmark name", i)
-			}
-			if _, err := vision.ByName(m.Benchmark); err != nil {
-				return nil, fmt.Errorf("bag %d: %v (known: %s)", i, err, strings.Join(vision.Names(), ", "))
-			}
-			if m.Batch <= 0 {
-				return nil, fmt.Errorf("bag %d: non-positive batch %d for %s", i, m.Batch, m.Benchmark)
+			if err := vision.CheckMember(m.Benchmark, m.Batch); err != nil {
+				return nil, fmt.Errorf("bag %d: %v", i, err)
 			}
 		}
 	}
@@ -468,21 +461,10 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	var req PredictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		s.metrics.RejectValidation()
-		return writeJSON(w, http.StatusBadRequest, ErrorResponse{"decoding request: " + err.Error()})
-	}
-	// Reject trailing data after the first JSON value ({"a":…}{"b":…},
-	// {"a":…}garbage, …): the old decoder silently ignored everything past
-	// the first value, masking client bugs. Token returns io.EOF only
-	// when nothing but whitespace remains.
-	if tok, err := dec.Token(); err != io.EOF {
-		s.metrics.RejectValidation()
-		return writeJSON(w, http.StatusBadRequest, ErrorResponse{fmt.Sprintf(
-			"request body carries trailing data after the JSON value (next token %v); send exactly one JSON object", tok)})
+		return writeJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
 	}
 	bags, err := s.parseBags(&req)
 	if err != nil {
@@ -510,14 +492,13 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 			for j, m := range bags[i] {
 				bag[j] = m.member()
 			}
-			label := dataset.BagKeyOf(bag)
 			x, fairness, hit, err := featuresFn(bag)
 			if err != nil {
-				return fmt.Errorf("bag %d (%s): %w", i, label, err)
+				return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
 			}
 			pred, err := s.cfg.Model.PredictRaw(x)
 			if err != nil {
-				return fmt.Errorf("bag %d (%s): %w", i, label, err)
+				return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
 			}
 			res := BagResult{
 				Members:      bags[i],

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
+	"mapc/internal/vision"
 )
 
 var (
@@ -99,9 +101,11 @@ func TestNewValidation(t *testing.T) {
 func TestPredictHandlerTable(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxBatch = 2 })
 	h := s.Handler()
-	bag := func(a string, ab int, b string, bb int) string {
-		return fmt.Sprintf(`{"a":{"benchmark":%q,"batch":%d},"b":{"benchmark":%q,"batch":%d}}`, a, ab, b, bb)
+	members := func(a string, ab int, b string, bb int) string {
+		return fmt.Sprintf(`[{"benchmark":%q,"batch":%d},{"benchmark":%q,"batch":%d}]`, a, ab, b, bb)
 	}
+	bag := func(a string, ab int, b string, bb int) string { return `{"bag":` + members(a, ab, b, bb) + `}` }
+	entry := func(a string, ab int, b string, bb int) string { return `{"members":` + members(a, ab, b, bb) + `}` }
 	cases := []struct {
 		name       string
 		method     string
@@ -113,17 +117,23 @@ func TestPredictHandlerTable(t *testing.T) {
 		{"invalid json", http.MethodPost, `{`, http.StatusBadRequest, "decoding"},
 		{"unknown field", http.MethodPost, `{"bagz":[]}`, http.StatusBadRequest, "unknown field"},
 		{"no bags", http.MethodPost, `{}`, http.StatusBadRequest, "no bags"},
-		{"half a bag", http.MethodPost, `{"a":{"benchmark":"sift","batch":20}}`, http.StatusBadRequest, "both"},
+		{"half a bag", http.MethodPost, `{"a":{"benchmark":"sift","batch":20}}`, http.StatusBadRequest, "a request is"},
+		{"pair form", http.MethodPost,
+			`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`, http.StatusBadRequest, "a request is"},
+		{"pair form in bags", http.MethodPost,
+			`{"bags":[{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}]}`, http.StatusBadRequest, "a request is"},
 		{"unknown benchmark", http.MethodPost, bag("nosuch", 20, "surf", 20), http.StatusBadRequest, "bag 0"},
 		{"empty benchmark", http.MethodPost, bag("", 20, "surf", 20), http.StatusBadRequest, "empty benchmark"},
 		{"zero batch", http.MethodPost, bag("sift", 0, "surf", 20), http.StatusBadRequest, "non-positive batch"},
 		{"negative batch", http.MethodPost, bag("sift", 20, "surf", -4), http.StatusBadRequest, "non-positive batch"},
+		{"batch over the maximum", http.MethodPost, bag("sift", vision.MaxBatch+1, "surf", 20), http.StatusBadRequest, "exceeds the maximum"},
+		{"overflowing batch", http.MethodPost, bag("sift", math.MaxInt64, "surf", 20), http.StatusBadRequest, "exceeds the maximum"},
 		{"oversized batch list", http.MethodPost,
-			fmt.Sprintf(`{"bags":[%s,%s,%s]}`, bag("sift", 20, "surf", 20), bag("sift", 20, "surf", 40), bag("sift", 40, "surf", 40)),
+			fmt.Sprintf(`{"bags":[%s,%s,%s]}`, entry("sift", 20, "surf", 20), entry("sift", 20, "surf", 40), entry("sift", 40, "surf", 40)),
 			http.StatusBadRequest, "exceeds the limit of 2"},
 		{"ok single", http.MethodPost, bag("sift", 20, "surf", 20), http.StatusOK, "predicted_gpu_bag_time_sec"},
 		{"ok batch", http.MethodPost,
-			fmt.Sprintf(`{"bags":[%s,%s]}`, bag("sift", 20, "surf", 20), bag("sift", 20, "sift", 20)),
+			fmt.Sprintf(`{"bags":[%s,%s]}`, entry("sift", 20, "surf", 20), entry("sift", 20, "sift", 20)),
 			http.StatusOK, "predicted_gpu_bag_time_sec"},
 	}
 	for _, tc := range cases {
@@ -140,7 +150,7 @@ func TestPredictHandlerTable(t *testing.T) {
 }
 
 // TestPredictParityAndCache proves the served value is exactly what the
-// offline predict path (mapc-predict: Generator.FeaturesFor → PredictRaw)
+// offline predict path (mapc-predict: Generator.BagFeatures → PredictRaw)
 // computes, and that a repeated bag is answered from the feature cache.
 func TestPredictParityAndCache(t *testing.T) {
 	gen, mod := fixture(t)
@@ -149,7 +159,7 @@ func TestPredictParityAndCache(t *testing.T) {
 
 	a := dataset.Member{Benchmark: "sift", Batch: 20}
 	b := dataset.Member{Benchmark: "surf", Batch: 20}
-	x, fairness, err := gen.FeaturesFor(a, b)
+	x, fairness, err := gen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestPredictParityAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
 	var lastCached bool
 	for i := 0; i < 2; i++ {
 		rr := doJSON(t, h, http.MethodPost, "/v1/predict", body)
@@ -191,7 +201,7 @@ func TestPredictParityAndCache(t *testing.T) {
 		t.Error("cache hit rate still zero after a repeated bag")
 	}
 	// Reversed member order hits the same canonical cache entry.
-	rev := `{"a":{"benchmark":"surf","batch":20},"b":{"benchmark":"sift","batch":20}}`
+	rev := `{"bag":[{"benchmark":"surf","batch":20},{"benchmark":"sift","batch":20}]}`
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict", rev)
 	var resp PredictResponse
 	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
@@ -210,7 +220,7 @@ func TestPredictTimeout(t *testing.T) {
 		return nil, 0, false, context.DeadlineExceeded
 	}
 	rr := doJSON(t, s.Handler(), http.MethodPost, "/v1/predict",
-		`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`)
+		`{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`)
 	if rr.Code != http.StatusGatewayTimeout {
 		t.Fatalf("code %d, want 504; body %s", rr.Code, rr.Body)
 	}
@@ -227,7 +237,7 @@ func TestPredictSaturation(t *testing.T) {
 		return nil, 0, false, fmt.Errorf("released")
 	}
 	h := s.Handler()
-	body := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
+	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
 
 	firstDone := make(chan int, 1)
 	go func() {
@@ -280,7 +290,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	reqDone := make(chan int, 1)
 	go func() {
 		resp, err := http.Post(base+"/v1/predict", "application/json",
-			strings.NewReader(`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`))
+			strings.NewReader(`{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`))
 		if err != nil {
 			reqDone <- -1
 			return
@@ -342,7 +352,7 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 	// One served prediction, then metrics must be non-empty and carry the
 	// request + cache series.
 	doJSON(t, h, http.MethodPost, "/v1/predict",
-		`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"sift","batch":20}}`)
+		`{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"sift","batch":20}]}`)
 	rr = doJSON(t, h, http.MethodGet, "/metrics", "")
 	if rr.Code != http.StatusOK {
 		t.Fatalf("metrics code %d", rr.Code)

@@ -35,7 +35,7 @@ func TestSimCacheMetricsAndMemoParity(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
 
-	body := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":40}}`
+	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":40}]}`
 	for i := 0; i < 3; i++ {
 		if rr := doJSON(t, h, http.MethodPost, "/v1/predict", body); rr.Code != http.StatusOK {
 			t.Fatalf("request %d: code %d body %s", i, rr.Code, rr.Body)
@@ -69,11 +69,11 @@ func TestSimCacheMetricsAndMemoParity(t *testing.T) {
 	}
 	a := dataset.Member{Benchmark: "sift", Batch: 20}
 	b := dataset.Member{Benchmark: "surf", Batch: 40}
-	warmX, warmF, err := gen.FeaturesFor(a, b)
+	warmX, warmF, err := gen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldX, coldF, err := coldGen.FeaturesFor(a, b)
+	coldX, coldF, err := coldGen.BagFeatures([]dataset.Member{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,8 @@ func TestSnapshotWarmStartBitIdentical(t *testing.T) {
 	s1 := newTestServer(t, nil)
 	h1 := s1.Handler()
 	bodies := []string{
-		`{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":40}}`,
-		`{"a":{"benchmark":"surf","batch":20},"b":{"benchmark":"surf","batch":20}}`,
+		`{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":40}]}`,
+		`{"bag":[{"benchmark":"surf","batch":20},{"benchmark":"surf","batch":20}]}`,
 		`{"bags":[{"members":[{"benchmark":"sift","batch":40},{"benchmark":"sift","batch":20}]}]}`,
 	}
 	want := make([]string, len(bodies))
@@ -126,8 +126,8 @@ func TestSeedSnapshotRejectsMismatches(t *testing.T) {
 func TestWarmFromPeerAndPeerFill(t *testing.T) {
 	peer := newTestServer(t, nil)
 	hp := peer.Handler()
-	hot := `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`
-	warmOnly := `{"a":{"benchmark":"sift","batch":40},"b":{"benchmark":"surf","batch":40}}`
+	hot := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
+	warmOnly := `{"bag":[{"benchmark":"sift","batch":40},{"benchmark":"surf","batch":40}]}`
 	wantHot := snapPredict(t, hp, hot)
 	ts := httptest.NewServer(hp)
 	defer ts.Close()
@@ -180,7 +180,7 @@ func TestWarmFromPeerAndPeerFill(t *testing.T) {
 	}
 
 	// A bag nobody holds falls through to the local simulator.
-	cold := `{"a":{"benchmark":"sift","batch":80},"b":{"benchmark":"surf","batch":80}}`
+	cold := `{"bag":[{"benchmark":"sift","batch":80},{"benchmark":"surf","batch":80}]}`
 	_ = snapPredict(t, hf, cold)
 	if computes.Load() != 1 {
 		t.Fatalf("cold bag ran %d local simulations, want 1", computes.Load())
@@ -192,7 +192,7 @@ func TestWarmFromPeerAndPeerFill(t *testing.T) {
 func TestCacheEntryEndpoint(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
-	snapPredict(t, h, `{"a":{"benchmark":"sift","batch":20},"b":{"benchmark":"surf","batch":20}}`)
+	snapPredict(t, h, `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`)
 
 	// Bag keys carry "+" separators, so the query parameter must be
 	// escaped — exactly what fetchPeerEntry does on the client side.

@@ -1,8 +1,9 @@
 package serve
 
 import (
-	"errors"
+	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 
 	"mapc/internal/dataset"
@@ -40,64 +41,57 @@ func (m Member) member() dataset.Member {
 	return dataset.Member{Benchmark: m.Benchmark, Batch: m.Batch}
 }
 
-// Bag is one bag: either the legacy 2-application {"a":…,"b":…} form
-// or a k-member {"members":[…]} list. Exactly one form per bag.
+// Bag is one entry of a batched request: a k-member {"members":[…]} list.
 type Bag struct {
-	A       *Member  `json:"a,omitempty"`
-	B       *Member  `json:"b,omitempty"`
 	Members []Member `json:"members,omitempty"`
 }
 
-// MemberList flattens the bag to its member sequence, validating that
-// exactly one of the two wire forms was used.
-func (b Bag) MemberList() ([]Member, error) {
-	if len(b.Members) > 0 {
-		if b.A != nil || b.B != nil {
-			return nil, errors.New(`mixes "members" with "a"/"b"; use one form per bag`)
-		}
-		return b.Members, nil
-	}
-	if b.A == nil || b.B == nil {
-		return nil, errors.New(`requires both "a" and "b", or a "members" list`)
-	}
-	return []Member{*b.A, *b.B}, nil
-}
-
-// PredictRequest accepts a single bag inline — the legacy pair form
-// ({"a":…,"b":…}) or a k-member list ({"bag":[…]}) — or a batch
-// ({"bags":[…]}); combined forms are allowed and inline bags run first.
+// PredictRequest carries one inline bag ({"bag":[…]}), a batch
+// ({"bags":[{"members":[…]},…]}), or both; inline bags run first.
 type PredictRequest struct {
-	A    *Member  `json:"a,omitempty"`
-	B    *Member  `json:"b,omitempty"`
 	Bag  []Member `json:"bag,omitempty"`
 	Bags []Bag    `json:"bags,omitempty"`
 }
 
-// BagList validates the request's structural form and flattens it into a
-// list of member sequences, in response order. It performs no model- or
-// registry-level validation (bag size, benchmark names, batch positivity)
-// — the server layers those on top, and the router deliberately leaves
-// them to the replica that owns each bag.
+// requestForms names the accepted request shapes in 400 bodies.
+const requestForms = `a request is {"bag":[…]} and/or {"bags":[{"members":[…]}]}`
+
+// DecodeRequest reads exactly one PredictRequest JSON object from r, the
+// decode both the server and the cluster router run. Unknown fields —
+// among them the retired pair form {"a":…,"b":…} — and trailing data
+// after the object ({…}{…}, {…}garbage) are errors.
+func DecodeRequest(r io.Reader) (PredictRequest, error) {
+	var req PredictRequest
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, fmt.Errorf("decoding request: %v; %s", err, requestForms)
+	}
+	// Token returns io.EOF only when nothing but whitespace remains.
+	if tok, err := dec.Token(); err != io.EOF {
+		return req, fmt.Errorf("request body carries trailing data after the JSON value (next token %v); send exactly one JSON object", tok)
+	}
+	return req, nil
+}
+
+// BagList flattens the request into a list of member sequences, in
+// response order. It performs no model- or registry-level validation (bag
+// size, benchmark names, batch range) — the server layers those on top,
+// and the router deliberately leaves them to the replica that owns each
+// bag.
 func (r *PredictRequest) BagList() ([][]Member, error) {
 	var bags [][]Member
-	switch {
-	case r.A != nil && r.B != nil:
-		bags = append(bags, []Member{*r.A, *r.B})
-	case r.A != nil || r.B != nil:
-		return nil, errors.New("single-bag form requires both \"a\" and \"b\"")
-	}
 	if len(r.Bag) > 0 {
 		bags = append(bags, r.Bag)
 	}
 	for i, bag := range r.Bags {
-		ms, err := bag.MemberList()
-		if err != nil {
-			return nil, fmt.Errorf("bags[%d] %v", i, err)
+		if len(bag.Members) == 0 {
+			return nil, fmt.Errorf(`bags[%d] has no "members"; %s`, i, requestForms)
 		}
-		bags = append(bags, ms)
+		bags = append(bags, bag.Members)
 	}
 	if len(bags) == 0 {
-		return nil, errors.New("no bags: provide {\"a\":…,\"b\":…}, {\"bag\":[…]} or {\"bags\":[…]}")
+		return nil, fmt.Errorf("no bags: %s", requestForms)
 	}
 	return bags, nil
 }
@@ -121,9 +115,9 @@ func CanonicalKey(ms []Member) string {
 	return dataset.BagKeyOf(s)
 }
 
-// BagResult is one bag's answer. Members always lists the bag; the legacy
-// a/b fields are populated for 2-application bags so pair-era clients keep
-// parsing responses unchanged.
+// BagResult is one bag's answer. Members always lists the bag; the a/b
+// fields are also populated for 2-application bags, so responses keep the
+// encoding pair-era clients parse.
 type BagResult struct {
 	A            *Member  `json:"a,omitempty"`
 	B            *Member  `json:"b,omitempty"`

@@ -3,7 +3,9 @@ package vision
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"mapc/internal/trace"
 )
@@ -41,11 +43,26 @@ type Result struct {
 	Summary map[string]float64
 }
 
+// MaxBatch is the largest batch Run accepts. It keeps every product Run
+// and scaleWorkload form far inside int64, and the int ones inside 32 bits.
+// The extrapolation factor is batch/sample < 2^16, and on a sampled run of
+// any of the nine benchmarks at DefaultImageSize a phase's per-category
+// count is below 2^24 and its parallelism below 2^15, so:
+//
+//   - TransferBytes = batch × 96·96·8 < 2^16 × 2^17 = 2^33;
+//   - a scaled per-category count < 2^24 × 2^16 = 2^40 (uint64);
+//   - a scaled parallelism < 2^15 × 2^16 = 2^31;
+//   - launches = sampled launches × ⌈factor⌉ ≤ 2^16 per sampled launch.
+//
+// 65,536 images is 200× the paper's largest batch (320).
+const MaxBatch = 1 << 16
+
 // Run executes benchmark b on a synthetic batch of batchSize images derived
 // from seed, returning the extrapolated workload and functional summary.
+// batchSize must be in [1, MaxBatch].
 func Run(b Benchmark, batchSize int, seed uint64) (*Result, error) {
-	if batchSize <= 0 {
-		return nil, fmt.Errorf("vision: batch size %d must be positive", batchSize)
+	if err := CheckBatch(batchSize); err != nil {
+		return nil, err
 	}
 	sample := batchSize
 	if sample > sampleCap {
@@ -97,33 +114,73 @@ func scaleWorkload(w *trace.Workload, factor float64) {
 	}
 }
 
-// All returns the nine benchmarks in the paper's canonical plotting order
-// (Figures 1-4): FAST, HoG, KNN, ObjRec, ORB, SIFT, SURF, SVM, FaceDet.
+// names is the Table-II suite in the paper's canonical plotting order
+// (Figures 1-4); builders[i] constructs the benchmark named names[i].
+var names = [...]string{"fast", "hog", "knn", "objrec", "orb", "sift", "surf", "svm", "facedet"}
+
+var builders = [len(names)]func() Benchmark{
+	func() Benchmark { return NewFAST() },
+	func() Benchmark { return NewHoG() },
+	func() Benchmark { return NewKNN() },
+	func() Benchmark { return NewObjRec() },
+	func() Benchmark { return NewORB() },
+	func() Benchmark { return NewSIFT() },
+	func() Benchmark { return NewSURF() },
+	func() Benchmark { return NewSVM() },
+	func() Benchmark { return NewFaceDet() },
+}
+
+// All returns the nine benchmarks, freshly built, in plotting order.
 func All() []Benchmark {
-	return []Benchmark{
-		NewFAST(), NewHoG(), NewKNN(), NewObjRec(), NewORB(),
-		NewSIFT(), NewSURF(), NewSVM(), NewFaceDet(),
+	bs := make([]Benchmark, len(builders))
+	for i, build := range builders {
+		bs[i] = build()
 	}
+	return bs
 }
 
 // Names returns the canonical benchmark names in plotting order.
-func Names() []string {
-	bs := All()
-	names := make([]string, len(bs))
-	for i, b := range bs {
-		names[i] = b.Name()
+func Names() []string { return append([]string(nil), names[:]...) }
+
+// ByName builds the benchmark with the given canonical name.
+func ByName(name string) (Benchmark, error) {
+	if i := slices.Index(names[:], name); i >= 0 {
+		return builders[i](), nil
 	}
-	return names
+	return nil, CheckName(name)
 }
 
-// ByName returns the benchmark with the given canonical name.
-func ByName(name string) (Benchmark, error) {
-	for _, b := range All() {
-		if b.Name() == name {
-			return b, nil
-		}
+// CheckName reports whether name is a canonical benchmark name, building
+// nothing.
+func CheckName(name string) error {
+	if slices.Contains(names[:], name) {
+		return nil
 	}
 	known := Names()
 	sort.Strings(known)
-	return nil, fmt.Errorf("vision: unknown benchmark %q (known: %v)", name, known)
+	if strings.TrimSpace(name) == "" {
+		return fmt.Errorf("vision: empty benchmark name (known: %v)", known)
+	}
+	return fmt.Errorf("vision: unknown benchmark %q (known: %v)", name, known)
+}
+
+// CheckBatch reports whether batch is in [1, MaxBatch].
+func CheckBatch(batch int) error {
+	if batch <= 0 {
+		return fmt.Errorf("vision: non-positive batch %d", batch)
+	}
+	if batch > MaxBatch {
+		return fmt.Errorf("vision: batch %d exceeds the maximum of %d", batch, MaxBatch)
+	}
+	return nil
+}
+
+// CheckMember is the one validation every bag member passes before it is
+// measured — by the generator, the server and the command-line parsers:
+// CheckName, then CheckBatch. It allocates nothing for a valid member.
+func CheckMember(name string, batch int) error {
+	if err := CheckName(name); err != nil {
+		return err
+	}
+	return CheckBatch(batch)
 }

@@ -1,7 +1,9 @@
 package vision
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mapc/internal/isa"
@@ -41,6 +43,36 @@ func TestRunRejectsBadBatch(t *testing.T) {
 	}
 	if _, err := Run(NewFAST(), -5, 1); err == nil {
 		t.Fatal("negative batch accepted")
+	}
+	// Batches past MaxBatch used to wrap TransferBytes negative and
+	// collapse the scaled parallelism to 1.
+	for _, batch := range []int{MaxBatch + 1, math.MaxInt64} {
+		if _, err := Run(NewSIFT(), batch, 1); err == nil {
+			t.Fatalf("batch %d accepted", batch)
+		}
+	}
+}
+
+func TestRunAtMaxBatch(t *testing.T) {
+	res, err := Run(NewSURF(), MaxBatch, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := res.Workload
+	if err := w.Validate(); err != nil {
+		t.Fatalf("invalid workload: %v", err)
+	}
+	if want := int64(MaxBatch) * DefaultImageSize * DefaultImageSize * 8; w.TransferBytes != want {
+		t.Errorf("TransferBytes = %d, want %d", w.TransferBytes, want)
+	}
+	small, err := Run(NewSURF(), 20, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range w.Phases {
+		if !p.BatchInvariant && p.Parallelism <= small.Workload.Phases[i].Parallelism {
+			t.Errorf("phase %q parallelism %d at MaxBatch, %d at 20", p.Name, p.Parallelism, small.Workload.Phases[i].Parallelism)
+		}
 	}
 }
 
@@ -151,6 +183,95 @@ func TestMixesDifferAcrossBenchmarks(t *testing.T) {
 					names[i], names[j], maxDiff)
 			}
 		}
+	}
+}
+
+func TestRegistryOrderAndNames(t *testing.T) {
+	want := []string{"fast", "hog", "knn", "objrec", "orb", "sift", "surf", "svm", "facedet"}
+	if !reflect.DeepEqual(names[:], want) {
+		t.Fatalf("names = %v, want %v", names, want)
+	}
+	for i, build := range builders {
+		if got := build().Name(); got != names[i] {
+			t.Errorf("builders[%d] builds %q, want %q", i, got, names[i])
+		}
+	}
+	for i, b := range All() {
+		if b.Name() != want[i] {
+			t.Errorf("All()[%d] = %q, want %q", i, b.Name(), want[i])
+		}
+	}
+}
+
+func TestByNameBuildsFreshInstances(t *testing.T) {
+	for _, n := range Names() {
+		a, err := ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b {
+			t.Errorf("ByName(%q) returned the same instance twice", n)
+		}
+	}
+}
+
+func TestNamesReturnsACopy(t *testing.T) {
+	n := Names()
+	n[0] = "mutated"
+	if Names()[0] != "fast" {
+		t.Fatal("Names() exposes the registry's slice")
+	}
+}
+
+func TestCheckMember(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		batch int
+		want  string // error substring; "" = valid
+	}{
+		{"sift", 20, ""},
+		{"facedet", 1, ""},
+		{"fast", MaxBatch, ""},
+		{"", 20, "empty benchmark name"},
+		{"  ", 20, "empty benchmark name"},
+		{"SIFT", 20, "unknown benchmark"},
+		{"nope", 20, "unknown benchmark"},
+		{"sift", 0, "non-positive batch"},
+		{"sift", -4, "non-positive batch"},
+		{"sift", MaxBatch + 1, "exceeds the maximum"},
+		{"sift", math.MaxInt64, "exceeds the maximum"},
+	} {
+		err := CheckMember(tc.name, tc.batch)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("CheckMember(%q, %d) = %v", tc.name, tc.batch, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("CheckMember(%q, %d) = %v, want error containing %q", tc.name, tc.batch, err, tc.want)
+		}
+	}
+}
+
+// TestCheckMemberAllocatesNothing pins the validator's cost on the hot
+// paths that run it per member per request (serve) or per measured bag
+// (the generator).
+func TestCheckMemberAllocatesNothing(t *testing.T) {
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range names {
+			if e := CheckMember(n, 320); e != nil {
+				err = e
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("CheckMember allocates %.1f times per registry pass", allocs)
 	}
 }
 

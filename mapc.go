@@ -14,9 +14,9 @@
 //	corpus, err := mapc.GenerateCorpus()              // the 91-run dataset
 //	p, err := mapc.Train(corpus, mapc.SchemeFull)     // decision-tree model
 //	gen, _ := mapc.NewGenerator(mapc.DefaultConfig())
-//	x, _, _ := gen.FeaturesFor(
-//	    mapc.Member{Benchmark: "sift", Batch: 40},
-//	    mapc.Member{Benchmark: "knn", Batch: 20})
+//	x, _, _ := gen.BagFeatures([]mapc.Member{
+//	    {Benchmark: "sift", Batch: 40},
+//	    {Benchmark: "knn", Batch: 20}})
 //	seconds, err := p.PredictRaw(x)                   // predicted bag time
 //
 // See the examples/ directory for runnable programs and DESIGN.md for the
@@ -145,9 +145,6 @@ func LoadPredictor(r io.Reader) (*Predictor, error) { return core.Load(r) }
 
 // LoadPredictorFile reads a predictor saved with Predictor.SaveFile.
 func LoadPredictorFile(path string) (*Predictor, error) { return core.LoadFile(path) }
-
-// Benchmarks returns the canonical benchmark names (Table II).
-func Benchmarks() []string { return benchmarkNames() }
 
 // NewEnv returns an experiment environment for regenerating paper figures.
 func NewEnv(cfg Config) *Env { return experiments.NewEnv(cfg) }

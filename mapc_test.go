@@ -80,9 +80,9 @@ func TestFacadePredictRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, fairness, err := gen.FeaturesFor(
-		Member{Benchmark: "sift", Batch: 20},
-		Member{Benchmark: "surf", Batch: 20})
+	x, fairness, err := gen.BagFeatures([]Member{
+		{Benchmark: "sift", Batch: 20},
+		{Benchmark: "surf", Batch: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
