@@ -32,37 +32,34 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"mapc/internal/cli"
 	"mapc/internal/dataset"
 	"mapc/internal/features"
-	"mapc/internal/phasesum"
-	"mapc/internal/profiling"
 )
 
 // exitInterrupted is the exit code for a clean signal-triggered stop with
 // a flushed journal (128+SIGINT, the conventional shell encoding).
 const exitInterrupted = 130
 
-func main() {
-	out := flag.String("o", "", "output file (default stdout)")
-	workers := flag.Int("workers", 0, "measurement worker goroutines (0 = NumCPU, 1 = serial); output is identical for every value")
-	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
-	k := flag.Int("k", 2, "bag size: applications co-scheduled per data point (2 = the paper's pair corpus, up to 8)")
-	checkpoint := flag.String("checkpoint", "", "journal file for crash-safe generation: completed points are committed here and survive kills")
-	resume := flag.Bool("resume", false, "continue from an existing -checkpoint journal, re-measuring only missing bags")
-	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset (empty = full Table-II suite)")
-	batches := flag.String("batches", "", "comma-separated batch sizes (empty = 20,40,80,160,320)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of corpus generation to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact (cycle-level replay), mixed (analytic when confident, exact otherwise), fast (always analytic); isolated runs are exact at every tier")
-	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.2/0.1 (empty = equal split)")
-	scenarios := flag.String("scenarios", "", "run a k × share-skew scenario matrix instead of one corpus: semicolon-separated cells ('2;2:0.7/0.3;4:0.85/0.05/0.05/0.05'), or 'default' for the benchmarked skew suite")
-	scenariosJSON := flag.String("scenarios-json", "", "with -scenarios, also write the matrix report as JSON to this file")
-	oracleFrac := flag.Float64("oracle", 0, "differential oracle: re-measure this fraction of bags through the exact simulators and report relative-error bounds (0 = off)")
-	oracleSeed := flag.Uint64("oracle-seed", 1, "seed selecting the oracle's bag sample (reproducible per (config, fraction, seed))")
-	maxOracleErr := flag.Float64("max-oracle-err", 0, "exit 1 when the oracle's max relative error exceeds this bound (0 = report only)")
-	flag.Parse()
+var (
+	genFlags      = cli.Bind(flag.CommandLine, cli.WithK|cli.WithShares|cli.WithRegistry|cli.WithProfile)
+	out           = flag.String("o", "", "output file (default stdout)")
+	checkpoint    = flag.String("checkpoint", "", "journal file for crash-safe generation: completed points are committed here and survive kills")
+	resume        = flag.Bool("resume", false, "continue from an existing -checkpoint journal, re-measuring only missing bags")
+	scenarios     = flag.String("scenarios", "", "run a k × share-skew scenario matrix instead of one corpus: semicolon-separated cells ('2;2:0.7/0.3;4:0.85/0.05/0.05/0.05'), or 'default' for the benchmarked skew suite")
+	scenariosJSON = flag.String("scenarios-json", "", "with -scenarios, also write the matrix report as JSON to this file")
+	oracleFrac    = flag.Float64("oracle", 0, "differential oracle: re-measure this fraction of bags through the exact simulators and report relative-error bounds (0 = off)")
+	oracleSeed    = flag.Uint64("oracle-seed", 1, "seed selecting the oracle's bag sample (reproducible per (config, fraction, seed))")
+	maxOracleErr  = flag.Float64("max-oracle-err", 0, "exit 1 when the oracle's max relative error exceeds this bound (0 = report only)")
+)
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+func main() {
+	flag.Parse()
+	cfg, err := genFlags.Config()
+	if err != nil {
+		fatal(err)
+	}
+	stopProf, err := genFlags.StartProfile()
 	if err != nil {
 		fatal(err)
 	}
@@ -72,39 +69,8 @@ func main() {
 		}
 	}()
 
-	cfg := dataset.DefaultConfig()
-	cfg.Workers = *workers
-	cfg.SimCacheMB = *simCacheMB
-	cfg.K = *k
-	fid, err := phasesum.ParseFidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Fidelity = fid
-	if *shares != "" {
-		cfg.Shares, err = dataset.ParseShares(*shares)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -shares: %w", err))
-		}
-	}
-	if *benchmarks != "" {
-		cfg.Benchmarks, err = dataset.ParseBenchmarks(*benchmarks)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -benchmarks: %w", err))
-		}
-	}
-	if *batches != "" {
-		bs, err := dataset.ParseBatches(*batches)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -batches: %w", err))
-		}
-		cfg.BatchSizes = bs
-		if len(bs) <= 2 {
-			cfg.MixedPairs = 0 // mixed-batch pairs need >= 3 sizes
-		}
-	}
 	if *scenarios != "" {
-		if *shares != "" {
+		if cfg.Shares != nil {
 			fatal(errors.New("-scenarios cells carry their own share profiles; drop -shares"))
 		}
 		runScenarioMatrix(cfg, *scenarios, *scenariosJSON, *oracleFrac, *oracleSeed, *maxOracleErr)

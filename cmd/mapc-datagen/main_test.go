@@ -1,0 +1,27 @@
+package main
+
+import (
+	"flag"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// TestFlags pins the command's flag names and defaults.
+func TestFlags(t *testing.T) {
+	want := map[string]string{
+		"workers": "0", "simcache-mb": "512", "fidelity": "exact", "k": "2", "shares": "",
+		"benchmarks": "", "batches": "", "cpuprofile": "", "memprofile": "",
+		"o": "", "checkpoint": "", "resume": "false", "scenarios": "", "scenarios-json": "",
+		"oracle": "0", "oracle-seed": "1", "max-oracle-err": "0",
+	}
+	got := map[string]string{}
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got[f.Name] = f.DefValue
+		}
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags\n  %v\nwant\n  %v", got, want)
+	}
+}

@@ -13,23 +13,19 @@ import (
 	"fmt"
 	"os"
 
-	"mapc/internal/dataset"
+	"mapc/internal/cli"
 	"mapc/internal/experiments"
-	"mapc/internal/phasesum"
-	"mapc/internal/profiling"
+)
+
+var (
+	genFlags = cli.Bind(flag.CommandLine, cli.WithProfile)
+	only     = flag.String("only", "", "regenerate a single artifact (e.g. figure5)")
+	list     = flag.Bool("list", false, "list artifact IDs and exit")
 )
 
 func main() {
-	only := flag.String("only", "", "regenerate a single artifact (e.g. figure5)")
-	list := flag.Bool("list", false, "list artifact IDs and exit")
-	workers := flag.Int("workers", 0, "measurement worker goroutines (0 = NumCPU, 1 = serial); figures are identical for every value")
-	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of artifact regeneration to this file (go tool pprof)")
-	memprofile := flag.String("memprofile", "", "write a post-GC heap profile to this file on exit")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | mixed | fast (figures regenerate faster at analytic tiers, with model-bounded deviations)")
 	flag.Parse()
-
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProf, err := genFlags.StartProfile()
 	if err != nil {
 		fatal(err)
 	}
@@ -49,14 +45,10 @@ func main() {
 		return
 	}
 
-	cfg := dataset.DefaultConfig()
-	cfg.Workers = *workers
-	cfg.SimCacheMB = *simCacheMB
-	fid, err := phasesum.ParseFidelity(*fidelity)
+	cfg, err := genFlags.Config()
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Fidelity = fid
 	env := experiments.NewEnv(cfg)
 	if *only != "" {
 		t, err := experiments.Run(env, *only)

@@ -8,8 +8,8 @@
 //
 // Usage:
 //
-//	mapc-predict -a sift -b surf              # batch 20 each
-//	mapc-predict -a knn -abatch 80 -b svm -bbatch 40
+//	mapc-predict                              # the default bag sift/20,surf/20
+//	mapc-predict -bag knn/80,svm/40           # a pair
 //	mapc-predict -bag sift/20,surf/40,knn/80  # a 3-application bag
 //	mapc-predict -model model.json            # model from mapc-train -o
 package main
@@ -21,42 +21,32 @@ import (
 	"strconv"
 	"strings"
 
+	"mapc/internal/cli"
 	"mapc/internal/core"
 	"mapc/internal/dataset"
 	"mapc/internal/ml"
-	"mapc/internal/phasesum"
 	"mapc/internal/vision"
 )
 
+var (
+	genFlags  = cli.Bind(flag.CommandLine, cli.WithShares|cli.WithScheme)
+	bagSpec   = flag.String("bag", "sift/20,surf/20", `k-application bag as "bench/batch,bench/batch,..." (2-8 members; batch defaults to 20)`)
+	modelPath = flag.String("model", "", "load a saved model (mapc-train -o) instead of training")
+)
+
 func main() {
-	benchA := flag.String("a", "sift", "first benchmark")
-	benchB := flag.String("b", "surf", "second benchmark")
-	batchA := flag.Int("abatch", 20, "first benchmark's batch size")
-	batchB := flag.Int("bbatch", 20, "second benchmark's batch size")
-	bagSpec := flag.String("bag", "", `k-application bag as "bench/batch,bench/batch,..." (2-8 members; overrides -a/-b; batch defaults to 20)`)
-	schemeName := flag.String("scheme", "full", "feature scheme: insmix, insmix+cputime, insmix+cputime+fairness, full; a loaded model must match")
-	modelPath := flag.String("model", "", "load a saved model (mapc-train -o) instead of training")
-	workers := flag.Int("workers", 0, "measurement worker goroutines (0 = NumCPU, 1 = serial); predictions are identical for every value")
-	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | mixed | fast (analytic co-runs trade accuracy for speed; isolated runs stay exact)")
-	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.3 (empty = equal split)")
 	flag.Parse()
-
-	scheme, ok := core.SchemeByName(*schemeName)
-	if !ok {
-		fatal(fmt.Errorf("unknown scheme %q", *schemeName))
+	cfg, err := genFlags.Config()
+	if err != nil {
+		fatal(err)
 	}
-
-	bag := []dataset.Member{
-		{Benchmark: *benchA, Batch: *batchA},
-		{Benchmark: *benchB, Batch: *batchB},
+	scheme, err := genFlags.Scheme()
+	if err != nil {
+		fatal(err)
 	}
-	if *bagSpec != "" {
-		var err error
-		bag, err = parseBag(*bagSpec)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -bag: %w", err))
-		}
+	bag, err := parseBag(*bagSpec)
+	if err != nil {
+		fatal(fmt.Errorf("parsing -bag: %w", err))
 	}
 	// A bad member fails here, before any training.
 	for _, m := range bag {
@@ -64,24 +54,9 @@ func main() {
 			fatal(fmt.Errorf("bag member %v: %w", m, err))
 		}
 	}
-
-	cfg := dataset.DefaultConfig()
-	cfg.Workers = *workers
-	cfg.SimCacheMB = *simCacheMB
 	// Training (when no model is loaded) must produce vectors of the same
 	// width the query bag needs, so the corpus bag size follows the query.
 	cfg.K = len(bag)
-	fid, err := phasesum.ParseFidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Fidelity = fid
-	if *shares != "" {
-		cfg.Shares, err = dataset.ParseShares(*shares)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -shares: %w", err))
-		}
-	}
 	gen, err := dataset.NewGenerator(cfg)
 	if err != nil {
 		fatal(err)

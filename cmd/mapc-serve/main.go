@@ -32,36 +32,44 @@ import (
 	"syscall"
 	"time"
 
+	"mapc/internal/cli"
 	"mapc/internal/core"
 	"mapc/internal/dataset"
-	"mapc/internal/phasesum"
 	"mapc/internal/profiling"
 	"mapc/internal/serve"
 )
 
+var (
+	genFlags       = cli.Bind(flag.CommandLine, cli.WithK|cli.WithShares|cli.WithRegistry|cli.WithScheme)
+	addr           = flag.String("addr", ":8080", "listen address")
+	modelPath      = flag.String("model", "", "load a saved model (mapc-train -o) instead of training at startup")
+	maxInFlight    = flag.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /v1/predict requests admitted before shedding with 503")
+	maxBatch       = flag.Int("max-batch", serve.DefaultMaxBatch, "maximum bags per request")
+	timeout        = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
+	grace          = flag.Duration("grace", 30*time.Second, "shutdown drain budget for in-flight requests")
+	pprofAddr      = flag.String("pprof", "", "opt-in net/http/pprof listener on a separate loopback address (e.g. 127.0.0.1:6060); empty = disabled")
+	featureCacheMB = flag.Int("feature-cache-mb", serve.DefaultFeatureCacheMB, "cross-request feature cache budget in MiB (LRU past it; cannot be disabled)")
+	snapshotPath   = flag.String("snapshot", "", "feature-cache snapshot file: loaded at boot when present, saved atomically on drain")
+	warmFrom       = flag.String("warm-from", "", "peer replica base URL to pull a cache snapshot from at boot (e.g. http://127.0.0.1:8081)")
+	peers          = flag.String("peers", "", "comma-separated peer base URLs consulted on cache misses before simulating locally")
+	brownout       = flag.Float64("brownout-watermark", serve.DefaultBrownoutWatermark, "in-flight fraction of -max-inflight past which new requests are answered from the fast fidelity tier and marked degraded; 0 disables brownout (shed-only admission)")
+	maxDegraded    = flag.Int("max-degraded-inflight", 0, "extra admission slots for degraded answers once the exact pool is full; 0 = 4x -max-inflight")
+)
+
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	modelPath := flag.String("model", "", "load a saved model (mapc-train -o) instead of training at startup")
-	schemeName := flag.String("scheme", "full", "feature scheme: insmix, insmix+cputime, insmix+cputime+fairness, full; a loaded model must match")
-	k := flag.Int("k", 2, "bag size for startup training and served predictions (ignored when -model is set: the model pins its own bag size)")
-	workers := flag.Int("workers", 0, "measurement worker goroutines (0 = NumCPU, 1 = serial)")
-	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
-	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /v1/predict requests admitted before shedding with 503")
-	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "maximum bags per request")
-	timeout := flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
-	grace := flag.Duration("grace", 30*time.Second, "shutdown drain budget for in-flight requests")
-	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark subset for startup training (empty = full Table-II suite)")
-	batches := flag.String("batches", "", "comma-separated batch sizes for startup training (empty = 20,40,80,160,320)")
-	pprofAddr := flag.String("pprof", "", "opt-in net/http/pprof listener on a separate loopback address (e.g. 127.0.0.1:6060); empty = disabled")
-	featureCacheMB := flag.Int("feature-cache-mb", serve.DefaultFeatureCacheMB, "cross-request feature cache budget in MiB (LRU past it; cannot be disabled)")
-	snapshotPath := flag.String("snapshot", "", "feature-cache snapshot file: loaded at boot when present, saved atomically on drain")
-	warmFrom := flag.String("warm-from", "", "peer replica base URL to pull a cache snapshot from at boot (e.g. http://127.0.0.1:8081)")
-	peers := flag.String("peers", "", "comma-separated peer base URLs consulted on cache misses before simulating locally")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier for training and served measurements: exact | mixed | fast (isolated runs stay exact; /metrics reports the tier and per-kind co-run counts)")
-	shares := flag.String("shares", "", "MPS share profile for every shared GPU co-run: k slash- or comma-separated relative weights, e.g. 0.7/0.3 (empty = equal split); share-qualifies the feature cache and snapshots")
-	brownout := flag.Float64("brownout-watermark", serve.DefaultBrownoutWatermark, "in-flight fraction of -max-inflight past which new requests are answered from the fast fidelity tier and marked degraded; 0 disables brownout (shed-only admission)")
-	maxDegraded := flag.Int("max-degraded-inflight", 0, "extra admission slots for degraded answers once the exact pool is full; 0 = 4x -max-inflight")
 	flag.Parse()
+	cfg, err := genFlags.Config()
+	if err != nil {
+		fatal(err)
+	}
+	scheme, err := genFlags.Scheme()
+	if err != nil {
+		fatal(err)
+	}
+	// Checked before the (possibly minutes-long) startup training.
+	if err := cli.CheckMB("feature-cache-mb", *featureCacheMB); err != nil {
+		fatal(err)
+	}
 
 	if *pprofAddr != "" {
 		ln, err := profiling.ListenAndServe(*pprofAddr, func(err error) {
@@ -74,42 +82,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mapc-serve: pprof listening on http://%s/debug/pprof/ (loopback only)\n", ln.Addr())
 	}
 
-	scheme, ok := core.SchemeByName(*schemeName)
-	if !ok {
-		fatal(fmt.Errorf("unknown scheme %q", *schemeName))
-	}
-
-	cfg := dataset.DefaultConfig()
-	cfg.Workers = *workers
-	cfg.SimCacheMB = *simCacheMB
-	cfg.K = *k
-	fid, err := phasesum.ParseFidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Fidelity = fid
-	if *shares != "" {
-		cfg.Shares, err = dataset.ParseShares(*shares)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -shares: %w", err))
-		}
-	}
-	if *benchmarks != "" {
-		cfg.Benchmarks, err = dataset.ParseBenchmarks(*benchmarks)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -benchmarks: %w", err))
-		}
-	}
-	if *batches != "" {
-		bs, err := dataset.ParseBatches(*batches)
-		if err != nil {
-			fatal(fmt.Errorf("parsing -batches: %w", err))
-		}
-		cfg.BatchSizes = bs
-		if len(bs) <= 2 {
-			cfg.MixedPairs = 0 // mixed-batch pairs need >= 3 sizes
-		}
-	}
 	gen, err := dataset.NewGenerator(cfg)
 	if err != nil {
 		fatal(err)
@@ -150,7 +122,7 @@ func main() {
 		MaxInFlight:         *maxInFlight,
 		MaxBatch:            *maxBatch,
 		RequestTimeout:      *timeout,
-		Workers:             *workers,
+		Workers:             cfg.Workers,
 		FeatureCacheMB:      *featureCacheMB,
 		BrownoutWatermark:   *brownout,
 		MaxDegradedInFlight: *maxDegraded,

@@ -16,26 +16,28 @@ import (
 	"fmt"
 	"os"
 
+	"mapc/internal/cli"
 	"mapc/internal/core"
 	"mapc/internal/dataset"
-	"mapc/internal/phasesum"
+)
+
+var (
+	genFlags  = cli.Bind(flag.CommandLine, cli.WithK|cli.WithScheme)
+	dumpTree  = flag.Bool("dump-tree", false, "print the tree fitted on the full corpus")
+	protoName = flag.String("protocol", "own", "LOOCV protocol: own (hold out the benchmark's homogeneous points) or containing (hold out every bag containing it)")
+	maxDepth  = flag.Int("max-depth", 0, "tree depth bound (0 = unbounded)")
+	outModel  = flag.String("o", "", "save the full-corpus model to this JSON file")
 )
 
 func main() {
-	schemeName := flag.String("scheme", "full", "feature scheme: insmix, insmix+cputime, insmix+cputime+fairness, full")
-	dumpTree := flag.Bool("dump-tree", false, "print the tree fitted on the full corpus")
-	protoName := flag.String("protocol", "own", "LOOCV protocol: own (hold out the benchmark's homogeneous points) or containing (hold out every bag containing it)")
-	maxDepth := flag.Int("max-depth", 0, "tree depth bound (0 = unbounded)")
-	outModel := flag.String("o", "", "save the full-corpus model to this JSON file")
-	k := flag.Int("k", 2, "bag size: applications co-scheduled per corpus point (2 = the paper's 91-run pair corpus, up to 8)")
-	workers := flag.Int("workers", 0, "measurement/fold worker goroutines (0 = NumCPU, 1 = serial); results are identical for every value")
-	simCacheMB := flag.Int("simcache-mb", dataset.DefaultSimCacheMB, "simulation memo budget in MiB (0 = off); output is identical at every budget")
-	fidelity := flag.String("fidelity", "exact", "co-run fidelity tier: exact | mixed | fast (analytic co-runs trade accuracy for speed; isolated runs stay exact)")
 	flag.Parse()
-
-	scheme, ok := core.SchemeByName(*schemeName)
-	if !ok {
-		fatal(fmt.Errorf("unknown scheme %q", *schemeName))
+	cfg, err := genFlags.Config()
+	if err != nil {
+		fatal(err)
+	}
+	scheme, err := genFlags.Scheme()
+	if err != nil {
+		fatal(err)
 	}
 	protocol := core.HoldOutOwn
 	switch *protoName {
@@ -45,16 +47,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown protocol %q", *protoName))
 	}
-
-	cfg := dataset.DefaultConfig()
-	cfg.Workers = *workers
-	cfg.SimCacheMB = *simCacheMB
-	cfg.K = *k
-	fid, err := phasesum.ParseFidelity(*fidelity)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Fidelity = fid
 	gen, err := dataset.NewGenerator(cfg)
 	if err != nil {
 		fatal(err)
@@ -68,7 +60,7 @@ func main() {
 
 	params := core.DefaultTreeParams()
 	params.MaxDepth = *maxDepth
-	results, err := core.LOOCVWorkers(corpus, scheme, params, protocol, *workers)
+	results, err := core.LOOCVWorkers(corpus, scheme, params, protocol, cfg.Workers)
 	if err != nil {
 		fatal(err)
 	}

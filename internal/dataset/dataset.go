@@ -99,8 +99,9 @@ type Config struct {
 	Threads    int
 	// Seed drives image synthesis; fixed by default for reproducibility.
 	Seed uint64
-	// HeteroBatches lists extra mixed-batch heterogeneous combinations;
-	// see DefaultConfig for the shipped set.
+	// MixedPairs is the number of extra mixed-batch heterogeneous bags;
+	// see DefaultConfig for the shipped count. They need at least three
+	// batch sizes: with fewer the corpus has none, whatever the value.
 	MixedPairs int
 	// K is the bag size: how many applications are co-scheduled per data
 	// point. 0 (the zero value) means 2 — the paper's pair corpus, and
@@ -129,10 +130,11 @@ type Config struct {
 	// in MiB: memoized pure simulation prefixes — per-app private cache
 	// replays, materialized GPU reference streams, whole isolated runs —
 	// shared across every bag the generator measures. 0 disables the memo
-	// (the exact cold path); negative values are rejected by NewGenerator.
-	// Like Workers, the value never changes outputs, only speed: corpora
-	// are bit-for-bit identical at every budget, so it is excluded from
-	// the journal's config fingerprint.
+	// (the exact cold path); negative values and values above
+	// simcache.MaxMB are rejected by NewGenerator. Like Workers, the value
+	// never changes outputs, only speed: corpora are bit-for-bit identical
+	// at every budget, so it is excluded from the journal's config
+	// fingerprint.
 	SimCacheMB int
 	// Fidelity selects how contended co-runs (the shared CPU run behind
 	// fairness and the shared GPU run behind the target) are computed:
@@ -350,6 +352,9 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 	if cfg.SimCacheMB < 0 {
 		return nil, fmt.Errorf("dataset: negative simulation cache budget %d MB (0 disables the memo)", cfg.SimCacheMB)
+	}
+	if cfg.SimCacheMB > simcache.MaxMB {
+		return nil, fmt.Errorf("dataset: simulation cache budget %d MB exceeds the maximum %d", cfg.SimCacheMB, simcache.MaxMB)
 	}
 	if cfg.K != 0 && (cfg.K < 2 || cfg.K > features.MaxApps) {
 		return nil, fmt.Errorf("dataset: bag size %d outside [2, %d] (0 means 2)", cfg.K, features.MaxApps)
@@ -756,7 +761,7 @@ func forEachCombination(n, k int, fn func(idx []int)) {
 // and batch 1+((t+2m) mod (B-1)) — at k=2 exactly the legacy i=t%n,
 // j=(3t+1)%n, ba=1+t%(B-1), bb=1+(t+2)%(B-1) walk.
 func mixedBags(names []string, batchSizes []int, count, k int) ([][]Member, error) {
-	if count <= 0 || len(batchSizes) <= 2 {
+	if count = effectiveMixed(batchSizes, count); count <= 0 {
 		return nil, nil
 	}
 	if len(names) == 0 {
@@ -799,6 +804,16 @@ func mixedBags(names []string, batchSizes []int, count, k int) ([][]Member, erro
 			added, count, maxSteps, len(names), len(batchSizes), k)
 	}
 	return out, nil
+}
+
+// effectiveMixed is the number of mixed-batch bags a corpus over
+// batchSizes really carries when count are asked for: none with fewer than
+// three batch sizes, since the walk draws every batch but the first.
+func effectiveMixed(batchSizes []int, count int) int {
+	if len(batchSizes) <= 2 {
+		return 0
+	}
+	return count
 }
 
 // Generate builds the full corpus over the measurement engine's worker

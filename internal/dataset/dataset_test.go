@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mapc/internal/features"
+	"mapc/internal/simcache"
 	"mapc/internal/vision"
 )
 
@@ -61,6 +62,31 @@ func TestGeneratorConfigValidation(t *testing.T) {
 		t.Error("negative worker count accepted")
 	} else if !strings.Contains(err.Error(), "-3") {
 		t.Errorf("negative-workers error %q does not name the value", err)
+	}
+}
+
+// TestGeneratorSimCacheBudget pins NewGenerator's SimCacheMB bounds: a
+// budget whose byte count overflows int64 is an error, not a panic.
+func TestGeneratorSimCacheBudget(t *testing.T) {
+	for _, tc := range []struct {
+		mb   int
+		want string // error substring; "" = accepted
+	}{
+		{0, ""},
+		{simcache.MaxMB, ""},
+		{-1, "negative simulation cache budget -1"},
+		{simcache.MaxMB + 1, "simulation cache budget 8796093022208 MB exceeds the maximum 8796093022207"},
+		{math.MaxInt, "exceeds the maximum"},
+	} {
+		cfg := DefaultConfig()
+		cfg.SimCacheMB = tc.mb
+		_, err := NewGenerator(cfg)
+		if tc.want == "" && err != nil {
+			t.Errorf("SimCacheMB %d rejected: %v", tc.mb, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("SimCacheMB %d: error %v, want one containing %q", tc.mb, err, tc.want)
+		}
 	}
 }
 

@@ -68,7 +68,8 @@ func BagKeyOf(bag []Member) string {
 
 // Fingerprint is a stable digest of every Config field that influences
 // measured point values: simulator parameters, batch sizes, threads, seed,
-// mixed pairs, ordering, and the effective benchmark list. Workers and
+// the effective mixed-bag count (0 below three batch sizes, whatever
+// MixedPairs says), ordering, and the effective benchmark list. Workers and
 // SimCacheMB are deliberately excluded — outputs are invariant to both
 // (points are bit-identical at every worker count and memo budget), so a
 // corpus journaled at -workers 8 -simcache-mb 256 may be resumed at
@@ -76,7 +77,7 @@ func BagKeyOf(bag []Member) string {
 func (c Config) Fingerprint() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cpu=%+v;gpu=%+v;batches=%v;threads=%d;seed=%d;mixed=%d;canonical=%t;benchmarks=%s",
-		c.CPU, c.GPU, c.BatchSizes, c.Threads, c.Seed, c.MixedPairs, c.CanonicalOrder,
+		c.CPU, c.GPU, c.BatchSizes, c.Threads, c.Seed, effectiveMixed(c.BatchSizes, c.MixedPairs), c.CanonicalOrder,
 		strings.Join(c.BenchmarkNames(), ","))
 	if c.EffectiveK() > 2 {
 		// Appended only beyond the paper's pair corpus so every journal

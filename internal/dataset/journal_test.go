@@ -170,6 +170,26 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// TestFingerprintEffectiveMixed pins that the fingerprint records the
+// mixed-bag count the corpus really has: below three batch sizes there
+// are none, so MixedPairs cannot move it, and journals written with
+// MixedPairs = 0 for such batch lists keep resuming.
+func TestFingerprintEffectiveMixed(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchSizes = []int{20, 40}
+	ten := cfg.Fingerprint()
+	cfg.MixedPairs = 0
+	if zero := cfg.Fingerprint(); zero != ten {
+		t.Errorf("batches 20,40: MixedPairs 10 and 0 fingerprints differ:\n  %s\n  %s", ten, zero)
+	}
+	cfg.BatchSizes = []int{20, 40, 80}
+	zero := cfg.Fingerprint()
+	cfg.MixedPairs = 10
+	if cfg.Fingerprint() == zero {
+		t.Error("batches 20,40,80: MixedPairs 10 and 0 share a fingerprint")
+	}
+}
+
 // TestJournalTornTailTolerated is the loader half of the torn-write
 // contract: a file whose final line is a partial record (crash between
 // write and fsync) loads cleanly minus the torn record, and the

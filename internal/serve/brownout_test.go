@@ -235,7 +235,9 @@ func TestDeadlineHeaderHonored(t *testing.T) {
 	// A malformed header must not crash or zero the deadline: the request
 	// proceeds under RequestTimeout (it blocks, so cancel via deadline is
 	// not observable here — instead verify a valid fast request works).
-	for _, hdr := range []string{"garbage", "-5", "0"} {
+	// Values past RequestTimeout, up to ones whose nanosecond count
+	// overflows int64, leave RequestTimeout in force too.
+	for _, hdr := range []string{"garbage", "-5", "0", "30001", "9223372036855", "100000000000000000", "9223372036854775807"} {
 		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(brownoutBody(1)))
 		req.Header.Set(HeaderDeadline, hdr)
 		req.Header.Set(HeaderDegradedOK, "1") // degraded path answers instantly

@@ -40,6 +40,7 @@ import (
 	"mapc/internal/dataset"
 	"mapc/internal/features"
 	"mapc/internal/parallel"
+	"mapc/internal/simcache"
 	"mapc/internal/vision"
 )
 
@@ -86,8 +87,9 @@ type Config struct {
 	// FeatureCacheMB bounds the cross-request feature cache in MiB; the
 	// least-recently-used bags are evicted past it (an eviction costs
 	// re-simulation on next sight, never a wrong answer). 0 means
-	// DefaultFeatureCacheMB; negative values are rejected — the cache is
-	// also the singleflight layer, so it cannot be disabled.
+	// DefaultFeatureCacheMB; negative values and values above
+	// simcache.MaxMB are rejected — the cache is also the singleflight
+	// layer, so it cannot be disabled.
 	FeatureCacheMB int
 	// BrownoutWatermark is the in-flight fraction of MaxInFlight at which
 	// new admissions answer from the fast fidelity tier instead of
@@ -160,6 +162,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FeatureCacheMB < 0 {
 		return nil, fmt.Errorf("serve: negative feature cache budget %d MB (0 means the %d MB default; the cache cannot be disabled)",
 			cfg.FeatureCacheMB, DefaultFeatureCacheMB)
+	}
+	if cfg.FeatureCacheMB > simcache.MaxMB {
+		return nil, fmt.Errorf("serve: feature cache budget %d MB exceeds the maximum %d", cfg.FeatureCacheMB, simcache.MaxMB)
 	}
 	if cfg.BrownoutWatermark > 1 || cfg.BrownoutWatermark < 0 {
 		return nil, fmt.Errorf("serve: brownout watermark %g outside [0, 1] (a fraction of MaxInFlight; 0 disables brownout)", cfg.BrownoutWatermark)
@@ -452,10 +457,10 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	// already given up is wasted simulation.
 	timeout := s.cfg.RequestTimeout
 	if hdr := r.Header.Get(HeaderDeadline); hdr != "" {
-		if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 {
-			if d := time.Duration(ms) * time.Millisecond; d < timeout {
-				timeout = d
-			}
+		// Compare in milliseconds before converting: a huge header value
+		// would overflow the Duration multiply and wrap.
+		if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 && ms <= timeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)

@@ -15,6 +15,7 @@ import (
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
+	"mapc/internal/simcache"
 	"mapc/internal/vision"
 )
 
@@ -95,6 +96,30 @@ func TestNewValidation(t *testing.T) {
 	if s.cfg.MaxInFlight != DefaultMaxInFlight || s.cfg.MaxBatch != DefaultMaxBatch ||
 		s.cfg.RequestTimeout != DefaultRequestTimeout {
 		t.Errorf("zero-value defaults not applied: %+v", s.cfg)
+	}
+}
+
+// TestNewFeatureCacheBudget pins New's FeatureCacheMB bounds: a budget
+// whose byte count overflows int64 is an error, not a panic.
+func TestNewFeatureCacheBudget(t *testing.T) {
+	gen, mod := fixture(t)
+	for _, tc := range []struct {
+		mb   int
+		want string // error substring; "" = accepted
+	}{
+		{0, ""},
+		{simcache.MaxMB, ""},
+		{-1, "negative feature cache budget -1"},
+		{simcache.MaxMB + 1, "feature cache budget 8796093022208 MB exceeds the maximum 8796093022207"},
+		{math.MaxInt, "exceeds the maximum"},
+	} {
+		_, err := New(Config{Model: mod, Generator: gen, FeatureCacheMB: tc.mb})
+		if tc.want == "" && err != nil {
+			t.Errorf("FeatureCacheMB %d rejected: %v", tc.mb, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("FeatureCacheMB %d: error %v, want one containing %q", tc.mb, err, tc.want)
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ package simcache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -102,6 +103,10 @@ type Cache struct {
 	misses    int64
 	evictions int64
 }
+
+// MaxMB is the largest budget, in MiB, whose byte count (MiB << 20) fits
+// an int64. MiB-denominated budget knobs reject anything above it.
+const MaxMB = math.MaxInt64 >> 20
 
 // New returns a cache bounded to budgetBytes of caller-reported entry
 // bytes. budgetBytes must be positive: "no cache" is spelled as a nil
