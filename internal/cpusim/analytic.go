@@ -24,18 +24,19 @@ const memoDomainSum = "cpusim/sum"
 // summaryEntry is the memoized sketch; immutable once published.
 type summaryEntry struct{ sum phasesum.Summary }
 
-// privResultFor returns app w's private replay for slot ai — through the
-// memo when available (the same "cpusim/priv" entries the exact shared
-// path uses), cold otherwise.
+// privResultFor returns app w's private replay for slot ai through the
+// memo (the same "cpusim/priv" entries the exact shared path uses; a nil
+// memo computes it).
 func privResultFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int) (privResult, error) {
-	compute := func() (privResult, error) {
+	key := simcache.Key{Domain: memoDomainPriv, Config: configKey(cfg), Workload: w.Fingerprint(), Slot: ai}
+	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
 		l1, err := memsim.NewCache("l1", cfg.L1Bytes, cfg.L1Ways, 1)
 		if err != nil {
-			return privResult{}, err
+			return nil, 0, err
 		}
 		l2, err := memsim.NewCache("l2", cfg.L2Bytes, cfg.L2Ways, 1)
 		if err != nil {
-			return privResult{}, err
+			return nil, 0, err
 		}
 		count, maxPhase := 0, 0
 		for pi := range w.Phases {
@@ -47,14 +48,7 @@ func privResultFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int) 
 				}
 			}
 		}
-		return privateReplay(cfg, w, ai, l1, l2, make([]uint64, maxPhase), make([]uint64, 0, count))
-	}
-	if memo == nil {
-		return compute()
-	}
-	key := simcache.Key{Domain: memoDomainPriv, Config: configKey(cfg), Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
-		pr, err := compute()
+		pr, err := privateReplay(cfg, w, ai, l1, l2, make([]uint64, maxPhase), make([]uint64, 0, count))
 		if err != nil {
 			return nil, 0, err
 		}
@@ -68,11 +62,8 @@ func privResultFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int) 
 
 // boundSummaryFor returns the memoized reuse sketch of app w's LLC-bound
 // stream at slot ai. pr must be the matching privResult (its bound/ends
-// are only read on a memo miss or when memo is nil).
+// are only read on a memo miss).
 func boundSummaryFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int, pr privResult) (phasesum.Summary, error) {
-	if memo == nil {
-		return phasesum.Summarize(pr.bound, pr.ends), nil
-	}
 	key := simcache.Key{Domain: memoDomainSum, Config: configKey(cfg), Workload: w.Fingerprint(), Slot: ai}
 	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
 		sum := phasesum.Summarize(pr.bound, pr.ends)
@@ -86,12 +77,14 @@ func boundSummaryFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int
 
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact
 // private phases (memo hits), closed-form shared-LLC miss estimates, then
-// the identical timing tail. Returns the model's combined confidence; an
-// isolated app is computed exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, float64, error) {
+// the identical timing tail. Returns the model's gate: its combined
+// confidence, whose only fallback reason is low confidence (the CPU model
+// has no share partitioning or DRAM gate). An isolated app is computed
+// exactly (confidence 1).
+func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, phasesum.Gate, error) {
 	if len(apps) == 1 {
 		res, err := runSteady(cfg, memo, apps)
-		return res, 1, err
+		return res, phasesum.Gate{Conf: 1}, err
 	}
 	n := len(apps)
 	mem := make([][]phaseMem, n)
@@ -103,12 +96,12 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 		w := apps[ai].Workload
 		pr, err := privResultFor(cfg, memo, w, ai)
 		if err != nil {
-			return nil, 0, err
+			return nil, phasesum.Gate{}, err
 		}
 		privs[ai] = pr
 		sum, err := boundSummaryFor(cfg, memo, w, ai, pr)
 		if err != nil {
-			return nil, 0, err
+			return nil, phasesum.Gate{}, err
 		}
 		sums[ai] = sum.Line
 		rates[ai] = sum.TotalRefs
@@ -118,7 +111,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 		// anchor transfers; the residual is what the oracle bounds.
 		isoMem, _, err := simulateMemory(cfg, memo, []App{{Workload: w, Threads: apps[ai].Threads}})
 		if err != nil {
-			return nil, 0, err
+			return nil, phasesum.Gate{}, err
 		}
 		isoMems[ai] = isoMem[0]
 	}
@@ -157,46 +150,29 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 			llcRates[ai] = missSum / boundSum
 		}
 	}
-	return steadyFromMem(cfg, apps, mem, llcRates), conf, nil
+	gate := phasesum.Gate{Conf: conf, Reason: phasesum.FallbackLowConfidence}
+	return steadyFromMem(cfg, apps, mem, llcRates), gate, nil
 }
 
-// RunMemoFidelity is RunMemo with a fidelity tier. Exact fidelity (and
-// every single-app run) delegates to RunMemo unchanged — bit-identical to
-// the legacy path. Fast estimates every contended co-run analytically;
-// mixed does so only while the model's self-reported confidence clears
-// phasesum.DefaultMinConfidence, falling back to exact simulation below
-// it. The returned RunKind reports which simulator answered; the CPU
-// model has no share partitioning or DRAM gate, so its only fallback
-// reason is low confidence.
+// RunMemoFidelity is RunMemo with a fidelity tier, decided by
+// phasesum.CoRun: exact fidelity (and every single-app run) delegates to
+// RunMemo unchanged — bit-identical to the legacy path; fast estimates
+// every contended co-run analytically; mixed does so only while the
+// model's confidence clears phasesum.DefaultMinConfidence. The returned
+// RunKind reports which simulator answered.
 func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
-	fid = fid.Effective()
-	if !fid.Analytic() || len(apps) == 1 {
-		res, err := RunMemo(cfg, memo, apps)
-		return res, phasesum.RunKind{UsedExact: true}, err
-	}
-	if err := validateApps(cfg, apps); err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	// Evaluate the full-contention steady state once: it is both the
-	// schedule's first step and the confidence the mixed tier gates on
-	// (the full client set is the most contended, so its confidence is
-	// the run's worst case).
-	steady, conf, err := runSteadyAnalytic(cfg, memo, apps)
-	if err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	if fid == phasesum.Mixed && conf < phasesum.DefaultMinConfidence {
-		res, err := RunMemo(cfg, memo, apps)
-		return res, phasesum.RunKind{UsedExact: true, Fallback: phasesum.FallbackLowConfidence}, err
-	}
-	first := true
-	res, err := runPhased(cfg, apps, func(sub []App) ([]Result, error) {
-		if first && len(sub) == len(apps) {
-			first = false
-			return steady, nil
-		}
-		r, _, err := runSteadyAnalytic(cfg, memo, sub)
-		return r, err
-	})
-	return res, phasesum.RunKind{}, err
+	return phasesum.CoRun(fid, len(apps),
+		func() ([]Result, error) { return RunMemo(cfg, memo, apps) },
+		func() ([]Result, phasesum.Gate, error) {
+			if err := validateApps(cfg, apps); err != nil {
+				return nil, phasesum.Gate{}, err
+			}
+			return runSteadyAnalytic(cfg, memo, apps)
+		},
+		func(steady []Result) ([]Result, error) {
+			return phased(cfg, apps, steady, func(sub []App) ([]Result, error) {
+				r, _, err := runSteadyAnalytic(cfg, memo, sub)
+				return r, err
+			})
+		})
 }

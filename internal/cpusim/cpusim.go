@@ -20,6 +20,7 @@ import (
 
 	"mapc/internal/isa"
 	"mapc/internal/memsim"
+	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
 	"mapc/internal/trace"
 )
@@ -198,81 +199,48 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, err
 	}
-	return runPhased(cfg, apps, func(sub []App) ([]Result, error) {
+	steady, err := runSteady(cfg, memo, apps)
+	if err != nil {
+		return nil, err
+	}
+	return phased(cfg, apps, steady, func(sub []App) ([]Result, error) {
 		return runSteady(cfg, memo, sub)
 	})
 }
 
-// runPhased executes the phased completion schedule over steady-state
-// rates: progress every active app proportionally to its current rate;
-// when the earliest finisher completes, re-evaluate the survivors as a
-// smaller client set via steady. Shared by the exact path (RunMemo) and
-// the analytic fidelity tier (RunMemoFidelity) — same schedule, different
-// steady-state evaluators.
-func runPhased(cfg Config, apps []App, steadyFn func(sub []App) ([]Result, error)) ([]Result, error) {
-	steady, err := steadyFn(apps)
-	if err != nil {
-		return nil, err
-	}
+// phased completes the co-run (phasesum.Departures) from the
+// full set's steady state, re-evaluating the survivors after each
+// departure with steadyFn: exact replay for RunMemo, the closed forms for
+// the analytic tier. Reported times are completion times; the rates and
+// memory statistics are the full-contention steady state's.
+func phased(cfg Config, apps []App, steady []Result, steadyFn func(sub []App) ([]Result, error)) ([]Result, error) {
 	if len(apps) == 1 {
 		return steady, nil
 	}
-
-	n := len(apps)
-	remaining := make([]float64, n)
-	finish := make([]float64, n)
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-		remaining[i] = 1
+	sub := make([]App, 0, len(apps))
+	done, err := phasesum.Departures(steady, resultTime, func(active []int) ([]Result, error) {
+		sub = sub[:0]
+		for _, ai := range active {
+			sub = append(sub, apps[ai])
+		}
+		return steadyFn(sub)
+	})
+	if err != nil {
+		return nil, err
 	}
-	cur := steady
-	var clock float64
-	for len(active) > 0 {
-		best := -1
-		bestDT := 0.0
-		for k := range active {
-			dt := remaining[active[k]] * cur[k].TimeSec
-			if best < 0 || dt < bestDT {
-				best, bestDT = k, dt
-			}
-		}
-		for k, ai := range active {
-			if cur[k].TimeSec > 0 {
-				remaining[ai] -= bestDT / cur[k].TimeSec
-			} else {
-				remaining[ai] = 0
-			}
-		}
-		clock += bestDT
-		done := active[best]
-		finish[done] = clock
-		remaining[done] = 0
-		active = append(active[:best], active[best+1:]...)
-		if len(active) == 0 {
-			break
-		}
-		sub := make([]App, len(active))
-		for k, ai := range active {
-			sub[k] = apps[ai]
-		}
-		cur, err = steadyFn(sub)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	out := make([]Result, n)
+	out := make([]Result, len(apps))
 	for i := range apps {
 		out[i] = steady[i]
-		out[i].TimeSec = finish[i]
-		out[i].Cycles = finish[i] * cfg.FreqGHz * 1e9
+		out[i].TimeSec = done[i]
+		out[i].Cycles = done[i] * cfg.FreqGHz * 1e9
 		if out[i].Cycles > 0 {
 			out[i].IPC = float64(out[i].Instructions) / out[i].Cycles
 		}
 	}
 	return out, nil
 }
+
+func resultTime(r *Result) float64 { return r.TimeSec }
 
 func validateApps(cfg Config, apps []App) error {
 	if err := cfg.Validate(); err != nil {
@@ -334,17 +302,17 @@ func steadyFromMem(cfg Config, apps []App, mem [][]phaseMem, llcRates []float64)
 	}
 
 	// Pass 1: compute-and-latency-bound times, ignoring bandwidth.
-	results := make([]Result, len(apps))
-	traffic := make([]float64, len(apps))
+	demand := make([]float64, len(apps))
 	for i := range apps {
 		cycles, bytes := appCycles(cfg, apps[i], mem[i], coreScale, 0)
-		results[i].Cycles = cycles
-		traffic[i] = bytes
+		demand[i] = phasesum.BandwidthDemand{Bytes: bytes, Sec: cycles / (cfg.FreqGHz * 1e9)}.Rate()
 	}
 
-	// Pass 2: apportion DRAM bandwidth by demand and re-time with the
+	// Pass 2: apportion DRAM bandwidth by demand (max-min fair
+	// arbitration of the memory controller) and re-time with the
 	// bandwidth bound in place.
-	share := bandwidthShares(cfg, results, traffic)
+	share := memsim.Waterfill(cfg.DRAMBandwidth, demand)
+	results := make([]Result, len(apps))
 	for i := range apps {
 		cycles, bytes := appCycles(cfg, apps[i], mem[i], coreScale, share[i])
 		w := apps[i].Workload
@@ -360,19 +328,6 @@ func steadyFromMem(cfg Config, apps []App, mem [][]phaseMem, llcRates []float64)
 		}
 	}
 	return results
-}
-
-// bandwidthShares returns per-app available DRAM bandwidth (bytes/sec) under
-// max-min fair arbitration of the memory controller.
-func bandwidthShares(cfg Config, prelim []Result, traffic []float64) []float64 {
-	demand := make([]float64, len(prelim))
-	for i := range prelim {
-		t := prelim[i].Cycles / (cfg.FreqGHz * 1e9)
-		if t > 0 {
-			demand[i] = traffic[i] / t
-		}
-	}
-	return memsim.Waterfill(cfg.DRAMBandwidth, demand)
 }
 
 // appCycles computes one app's wall-clock cycles and DRAM traffic given its

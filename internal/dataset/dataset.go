@@ -301,15 +301,10 @@ func (g *Generator) FidelityStats() FidelityStats {
 	}
 }
 
-// countFidelity tallies one contended co-run's tier outcome.
-func (g *Generator) countFidelity(kind phasesum.RunKind) {
-	g.countFidelityAs(g.cfg.Fidelity, kind)
-}
-
-// countFidelityAs is countFidelity with an explicit requested tier, for
-// per-call fidelity overrides (serve's brownout path asks for fast on a
-// generator configured exact).
-func (g *Generator) countFidelityAs(fid phasesum.Fidelity, kind phasesum.RunKind) {
+// countFidelity tallies one contended co-run's tier outcome at the
+// requested tier fid (serve's brownout path asks for fast on a generator
+// configured exact).
+func (g *Generator) countFidelity(fid phasesum.Fidelity, kind phasesum.RunKind) {
 	switch {
 	case !kind.UsedExact:
 		g.analyticRuns.Add(1)
@@ -524,16 +519,11 @@ func bagLabel(ms []bagMember) string {
 	return strings.Join(parts, "+")
 }
 
-// bagFairness runs the co-scheduled CPU simulation over the canonical bag
-// and reduces it to the fairness metric (Equation 2), capped at 1.
-func (g *Generator) bagFairness(ms []bagMember) (float64, error) {
-	return g.bagFairnessAs(ms, g.cfg.Fidelity)
-}
-
-// bagFairnessAs is bagFairness with a per-call fidelity tier: the shared
-// co-run switches tier while the isolated measurements (already memoized
-// per member) stay exact, which is what anchors the analytic model.
-func (g *Generator) bagFairnessAs(ms []bagMember, fid phasesum.Fidelity) (float64, error) {
+// sharedCPU runs the co-scheduled CPU simulation over the canonical bag at
+// tier fid. Only the shared co-run switches tier: the isolated
+// measurements (already memoized per member) stay exact, which is what
+// anchors the analytic model.
+func (g *Generator) sharedCPU(ms []bagMember, fid phasesum.Fidelity) ([]cpusim.Result, error) {
 	// The cached workloads are passed directly: the simulators are
 	// read-only on their inputs (contract documented on cpusim.App and
 	// gpusim.Run, enforced by the mutation-guard tests), so per-point
@@ -542,11 +532,37 @@ func (g *Generator) bagFairnessAs(ms []bagMember, fid phasesum.Fidelity) (float6
 	for i := range ms {
 		apps[i] = cpusim.App{Workload: ms[i].mm.workload, Threads: g.cfg.Threads}
 	}
-	cpuShared, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, fid)
+	res, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, fid)
 	if err != nil {
-		return 0, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
+		return nil, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
 	}
-	g.countFidelityAs(fid, kind)
+	g.countFidelity(fid, kind)
+	return res, nil
+}
+
+// bagTime runs the co-scheduled GPU simulation over the canonical bag at
+// the configured tier and share profile and returns its bag time, the
+// corpus label.
+func (g *Generator) bagTime(ms []bagMember) (float64, error) {
+	workloads := make([]*trace.Workload, len(ms))
+	for i := range ms {
+		workloads[i] = ms[i].mm.workload
+	}
+	res, kind, err := gpusim.RunMemoSharesFidelity(g.cfg.GPU, g.memo, workloads, g.cfg.Shares, g.cfg.Fidelity)
+	if err != nil {
+		return 0, fmt.Errorf("dataset: shared GPU run %s: %w", bagLabel(ms), err)
+	}
+	g.countFidelity(g.cfg.Fidelity, kind)
+	return gpusim.BagTime(res), nil
+}
+
+// bagFairness reduces the bag's shared CPU co-run at tier fid to the
+// fairness metric (Equation 2), capped at 1.
+func (g *Generator) bagFairness(ms []bagMember, fid phasesum.Fidelity) (float64, error) {
+	cpuShared, err := g.sharedCPU(ms, fid)
+	if err != nil {
+		return 0, err
+	}
 	perf := make([]perfmon.AppPerf, len(ms))
 	for i := range ms {
 		perf[i] = perfmon.AppPerf{IPCAlone: ms[i].mm.cpu.IPC, IPCShared: cpuShared[i].IPC}
@@ -578,31 +594,19 @@ func bagApps(ms []bagMember) []features.App {
 
 // BagFeatures measures everything a prediction needs for a k-member bag —
 // isolated CPU/GPU runs and the co-scheduled CPU run for fairness — without
-// executing the bag on the GPU. This is the inference-time entry point: the
-// returned vector is raw (un-normalized); apply features.ScaleTimes with
-// the training corpus's divisor before passing it to a trained model.
+// executing the bag on the GPU, at the configured fidelity. This is the
+// inference-time entry point: the returned vector is raw (un-normalized);
+// apply features.ScaleTimes with the training corpus's divisor before
+// passing it to a trained model.
 func (g *Generator) BagFeatures(bag []Member) (x []float64, fairness float64, err error) {
-	ms, err := g.measureBag(bag)
-	if err != nil {
-		return nil, 0, err
-	}
-	fairness, err = g.bagFairness(ms)
-	if err != nil {
-		return nil, 0, err
-	}
-	x, err = features.BagVector(bagApps(ms), fairness)
-	if err != nil {
-		return nil, 0, err
-	}
-	return x, fairness, nil
+	return g.BagFeaturesFidelity(bag, g.cfg.Fidelity)
 }
 
-// BagFeaturesFidelity is BagFeatures with a per-call fidelity override:
-// serve's brownout path answers from the fast analytic tier on a generator
-// configured for exact simulation, without touching the generator's
-// configured fidelity (or any other caller's view of it). Isolated
-// per-member measurements are shared with the exact path — only the
-// contended co-run switches tier.
+// BagFeaturesFidelity is BagFeatures at tier fid: serve's brownout path
+// answers from the fast analytic tier on a generator configured for exact
+// simulation, without touching the generator's configured fidelity (or
+// any other caller's view of it). Isolated per-member measurements are
+// shared across tiers — only the contended co-run switches.
 func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x []float64, fairness float64, err error) {
 	if !fid.Valid() {
 		return nil, 0, fmt.Errorf("dataset: unknown fidelity %q (want exact, mixed or fast)", string(fid))
@@ -611,7 +615,7 @@ func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x 
 	if err != nil {
 		return nil, 0, err
 	}
-	fairness, err = g.bagFairnessAs(ms, fid)
+	fairness, err = g.bagFairness(ms, fid)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -634,21 +638,16 @@ func (g *Generator) MeasureBag(bag []Member) (Point, error) {
 	}
 
 	// Shared CPU run → fairness (Equation 2).
-	fairness, err := g.bagFairness(ms)
+	fairness, err := g.bagFairness(ms, g.cfg.Fidelity)
 	if err != nil {
 		return Point{}, err
 	}
 
 	// Shared GPU run → the target bag time.
-	workloads := make([]*trace.Workload, len(ms))
-	for i := range ms {
-		workloads[i] = ms[i].mm.workload
-	}
-	gpuShared, kind, err := gpusim.RunMemoSharesFidelity(g.cfg.GPU, g.memo, workloads, g.cfg.Shares, g.cfg.Fidelity)
+	y, err := g.bagTime(ms)
 	if err != nil {
-		return Point{}, fmt.Errorf("dataset: shared GPU run %s: %w", bagLabel(ms), err)
+		return Point{}, err
 	}
-	g.countFidelity(kind)
 
 	x, err := features.BagVector(bagApps(ms), fairness)
 	if err != nil {
@@ -670,7 +669,7 @@ func (g *Generator) MeasureBag(bag []Member) (Point, error) {
 		Members:     members,
 		Homogeneous: homogeneous,
 		X:           x,
-		Y:           gpusim.BagTime(gpuShared),
+		Y:           y,
 		Fairness:    fairness,
 		CPUTimes:    cpuTimes,
 		GPUTimes:    gpuTimes,

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"mapc/internal/cpusim"
-	"mapc/internal/gpusim"
 	"mapc/internal/phasesum"
-	"mapc/internal/trace"
 )
 
 // The differential exactness oracle: re-measure a seeded fraction of the
@@ -48,17 +45,10 @@ func (g *Generator) bagTargets(bag []Member) (cpuMakespan, gpuBagTime float64, e
 	if err != nil {
 		return 0, 0, err
 	}
-	apps := make([]cpusim.App, len(ms))
-	workloads := make([]*trace.Workload, len(ms))
-	for i := range ms {
-		apps[i] = cpusim.App{Workload: ms[i].mm.workload, Threads: g.cfg.Threads}
-		workloads[i] = ms[i].mm.workload
-	}
-	cpuShared, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, g.cfg.Fidelity)
+	cpuShared, err := g.sharedCPU(ms, g.cfg.Fidelity)
 	if err != nil {
-		return 0, 0, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
+		return 0, 0, err
 	}
-	g.countFidelity(kind)
 	for i := range cpuShared {
 		if cpuShared[i].TimeSec > cpuMakespan {
 			cpuMakespan = cpuShared[i].TimeSec
@@ -67,12 +57,8 @@ func (g *Generator) bagTargets(bag []Member) (cpuMakespan, gpuBagTime float64, e
 	// The generation share vector rides along (g.cfg.Shares): the exact
 	// twin inherits it through the copied config, so skewed corpora are
 	// scored against the matching exact co-run, not the equal split.
-	gpuShared, kind, err := gpusim.RunMemoSharesFidelity(g.cfg.GPU, g.memo, workloads, g.cfg.Shares, g.cfg.Fidelity)
-	if err != nil {
-		return 0, 0, fmt.Errorf("dataset: shared GPU run %s: %w", bagLabel(ms), err)
-	}
-	g.countFidelity(kind)
-	return cpuMakespan, gpusim.BagTime(gpuShared), nil
+	gpuBagTime, err = g.bagTime(ms)
+	return cpuMakespan, gpuBagTime, err
 }
 
 // splitmix64 is the sampling PRNG: tiny, stdlib-free and stable across Go

@@ -23,21 +23,18 @@ const memoDomainSum = "gpusim/sum"
 // summaryEntry is the memoized sketch; immutable once published.
 type summaryEntry struct{ sum phasesum.Summary }
 
-// streamFor returns client w's materialized stream for slot ai — through
-// the "gpusim/stream" memo when available (the same entries the exact
-// shared path uses), cold otherwise.
+// streamFor returns client w's materialized stream for slot ai through
+// the "gpusim/stream" memo (the same entries the exact shared path uses;
+// a nil memo computes it).
 func streamFor(memo *simcache.Cache, w *trace.Workload, ai int) (streamEntry, error) {
-	count := 0
-	for pi := range w.Phases {
-		if refs := w.Phases[pi].MemRefs(); refs > 0 {
-			count += memsim.SampleRefs(refs)
-		}
-	}
-	if memo == nil {
-		return materializeStream(w, ai, make([]uint64, count))
-	}
 	key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
 	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+		count := 0
+		for pi := range w.Phases {
+			if refs := w.Phases[pi].MemRefs(); refs > 0 {
+				count += memsim.SampleRefs(refs)
+			}
+		}
 		se, err := materializeStream(w, ai, make([]uint64, count))
 		if err != nil {
 			return nil, 0, err
@@ -53,13 +50,6 @@ func streamFor(memo *simcache.Cache, w *trace.Workload, ai int) (streamEntry, er
 // streamSummaryFor returns the memoized reuse sketch of client w's stream
 // at slot ai.
 func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum.Summary, error) {
-	if memo == nil {
-		se, err := streamFor(memo, w, ai)
-		if err != nil {
-			return phasesum.Summary{}, err
-		}
-		return phasesum.Summarize(se.addrs, se.ends), nil
-	}
 	key := simcache.Key{Domain: memoDomainSum, Workload: w.Fingerprint(), Slot: ai}
 	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
 		se, err := streamFor(memo, w, ai)
@@ -75,44 +65,15 @@ func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum
 	return v.(summaryEntry).sum, nil
 }
 
-// smSharesOf mirrors steadyFromMem's SM partitioning: equal split for nil
-// shares, normalized weights otherwise.
-func smSharesOf(cfg Config, n int, shares []float64) []float64 {
-	out := make([]float64, n)
-	if shares == nil {
-		equal := float64(cfg.SMs) / float64(n)
-		for i := range out {
-			out[i] = equal
-		}
-		return out
-	}
-	var sum float64
-	for _, s := range shares {
-		sum += s
-	}
-	for i, s := range shares {
-		out[i] = float64(cfg.SMs) * (s / sum)
-	}
-	return out
-}
-
-// analyticGate is the steady evaluation's self-assessment: the combined
-// model confidence after the share and bandwidth terms, and — when conf
-// sits under phasesum.DefaultMinConfidence — which term pushed it there.
-type analyticGate struct {
-	conf   float64
-	reason phasesum.FallbackReason
-}
-
 // runSteadyAnalytic is the analytic counterpart of runSteady: exact
 // isolated anchors (memo hits), closed-form shared-L2 and shared-TLB miss
 // estimates, then the identical timing tail. Returns the model's gate
 // (combined confidence plus the would-be fallback reason); an isolated
 // client is computed exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, analyticGate, error) {
+func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, phasesum.Gate, error) {
 	if len(workloads) == 1 {
 		res, err := runSteady(cfg, memo, workloads, shares)
-		return res, analyticGate{conf: 1}, err
+		return res, phasesum.Gate{Conf: 1}, err
 	}
 	n := len(workloads)
 	lineSums := make([][]phasesum.PhaseSum, n)
@@ -122,7 +83,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 	for ai, w := range workloads {
 		sum, err := streamSummaryFor(memo, w, ai)
 		if err != nil {
-			return nil, analyticGate{}, err
+			return nil, phasesum.Gate{}, err
 		}
 		lineSums[ai] = sum.Line
 		pageSums[ai] = sum.Page
@@ -133,7 +94,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 		// anchor transfers; the residual is what the oracle bounds.
 		isoMem, _, _, err := simulateMemory(cfg, memo, []*trace.Workload{w})
 		if err != nil {
-			return nil, analyticGate{}, err
+			return nil, phasesum.Gate{}, err
 		}
 		isoMems[ai] = isoMem[0]
 	}
@@ -196,65 +157,48 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 		cycles, bytes := appCycles(cfg, w, mem[ai], smShares[ai], n, 0)
 		demands[ai] = phasesum.BandwidthDemand{Bytes: bytes, Sec: cycles / (cfg.FreqGHz * 1e9)}
 	}
-	gate := analyticGate{conf: conf}
+	gate := phasesum.Gate{Conf: conf}
 	if phasesum.TotalBandwidthDemand(demands) > phasesum.BandwidthGateRatio*cfg.DRAMBandwidth {
-		gate = analyticGate{conf: 0, reason: phasesum.FallbackBandwidthGate}
+		gate = phasesum.Gate{Conf: 0, Reason: phasesum.FallbackBandwidthGate}
 	} else {
 		bwConf := phasesum.BandwidthConfidence(conf, phasesum.BandwidthBoundFrac(cfg.DRAMBandwidth, demands))
 		// The share penalty replaces the former sub-SM hard refusal: a
 		// continuous effective-capacity deflation by the thinnest client's
 		// partition (phasesum.ShareConfidence), applied after the
 		// bandwidth blend so extreme skew still demotes saturated bags.
-		gate.conf = bwConf * phasesum.ShareConfidence(smShares)
-		if gate.conf < phasesum.DefaultMinConfidence {
+		gate.Conf = bwConf * phasesum.ShareConfidence(smShares)
+		if gate.Conf < phasesum.DefaultMinConfidence {
 			if bwConf >= phasesum.DefaultMinConfidence {
-				gate.reason = phasesum.FallbackSubSMShare
+				gate.Reason = phasesum.FallbackSubSMShare
 			} else {
-				gate.reason = phasesum.FallbackLowConfidence
+				gate.Reason = phasesum.FallbackLowConfidence
 			}
 		}
 	}
 	return steadyFromMem(cfg, workloads, shares, mem, l2Rates, tlbRates), gate, nil
 }
 
-// RunMemoSharesFidelity is RunMemoShares with a fidelity tier. Exact
-// fidelity (and every single-client run) delegates to RunMemoShares
-// unchanged — bit-identical to the legacy path. Fast estimates every
-// contended co-run analytically; mixed does so only while the model's
-// self-reported confidence clears phasesum.DefaultMinConfidence, falling
-// back to exact simulation below it (extreme share skew and demand far
-// past the device bandwidth land here by construction). The returned
-// RunKind reports which simulator answered and, for mixed-tier
-// fallbacks, which gate bounced the run.
+// RunMemoSharesFidelity is RunMemoShares with a fidelity tier, decided by
+// phasesum.CoRun: exact fidelity (and every single-client run) delegates
+// to RunMemoShares unchanged — bit-identical to the legacy path; fast
+// estimates every contended co-run analytically; mixed does so only while
+// the model's confidence clears phasesum.DefaultMinConfidence (extreme
+// share skew and demand far past the device bandwidth fall back by
+// construction). The returned RunKind reports which simulator answered
+// and, for mixed-tier fallbacks, which gate bounced the run.
 func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
-	fid = fid.Effective()
-	if !fid.Analytic() || len(workloads) == 1 {
-		res, err := RunMemoShares(cfg, memo, workloads, shares)
-		return res, phasesum.RunKind{UsedExact: true}, err
-	}
-	if err := validateRun(cfg, workloads, shares); err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	// Evaluate the full-contention steady state once: it is both the
-	// schedule's first step and the confidence the mixed tier gates on
-	// (the full client set is the most contended, so its confidence is
-	// the run's worst case).
-	steady, gate, err := runSteadyAnalytic(cfg, memo, workloads, shares)
-	if err != nil {
-		return nil, phasesum.RunKind{}, err
-	}
-	if fid == phasesum.Mixed && gate.conf < phasesum.DefaultMinConfidence {
-		res, err := RunMemoShares(cfg, memo, workloads, shares)
-		return res, phasesum.RunKind{UsedExact: true, Fallback: gate.reason}, err
-	}
-	first := true
-	res, err := runPhased(cfg, workloads, shares, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
-		if first && len(sub) == len(workloads) {
-			first = false
-			return steady, nil
-		}
-		r, _, err := runSteadyAnalytic(cfg, memo, sub, subShares)
-		return r, err
-	})
-	return res, phasesum.RunKind{}, err
+	return phasesum.CoRun(fid, len(workloads),
+		func() ([]Result, error) { return RunMemoShares(cfg, memo, workloads, shares) },
+		func() ([]Result, phasesum.Gate, error) {
+			if err := validateRun(cfg, workloads, shares); err != nil {
+				return nil, phasesum.Gate{}, err
+			}
+			return runSteadyAnalytic(cfg, memo, workloads, shares)
+		},
+		func(steady []Result) ([]Result, error) {
+			return phased(cfg, workloads, shares, steady, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
+				r, _, err := runSteadyAnalytic(cfg, memo, sub, subShares)
+				return r, err
+			})
+		})
 }

@@ -29,6 +29,7 @@ import (
 
 	"mapc/internal/isa"
 	"mapc/internal/memsim"
+	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
 	"mapc/internal/trace"
 )
@@ -224,7 +225,11 @@ func RunMemoShares(cfg Config, memo *simcache.Cache, workloads []*trace.Workload
 	if err := validateRun(cfg, workloads, shares); err != nil {
 		return nil, err
 	}
-	return runPhased(cfg, workloads, shares, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
+	steady, err := runSteady(cfg, memo, workloads, shares)
+	if err != nil {
+		return nil, err
+	}
+	return phased(cfg, workloads, shares, steady, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
 		return runSteady(cfg, memo, sub, subShares)
 	})
 }
@@ -259,92 +264,51 @@ func validateRun(cfg Config, workloads []*trace.Workload, shares []float64) erro
 	return nil
 }
 
-// runPhased executes the phased completion schedule over steady-state
-// rates: progress every active client proportionally to its current rate;
-// when the earliest finisher completes, re-evaluate the survivors (with
-// their shares renormalized over the active set) as a smaller client set.
-// Shared by the exact path (RunMemoShares) and the analytic fidelity tier
-// (RunMemoSharesFidelity) — same schedule, different steady evaluators.
-func runPhased(cfg Config, workloads []*trace.Workload, shares []float64, steadyFn func(sub []*trace.Workload, subShares []float64) ([]Result, error)) ([]Result, error) {
-	// Steady-state results for the full client set: the per-app rates and
-	// statistics while everyone is resident.
-	steady, err := steadyFn(workloads, shares)
-	if err != nil {
-		return nil, err
-	}
+// phased completes the MPS co-run (phasesum.Departures) from
+// the full set's steady state, re-evaluating the survivors after each
+// departure with steadyFn (their shares renormalized over the active
+// set): exact replay for RunMemoShares, the closed forms for the analytic
+// tier. Reported times are completion times; the rates and memory
+// statistics are the full-contention period's (the shared-run counters a
+// profiler attached to the co-run window would read).
+func phased(cfg Config, workloads []*trace.Workload, shares []float64, steady []Result, steadyFn func(sub []*trace.Workload, subShares []float64) ([]Result, error)) ([]Result, error) {
 	if len(workloads) == 1 {
 		return steady, nil
 	}
-
-	// Phased schedule: progress every active app proportionally to its
-	// current steady-state rate; when the earliest finisher completes,
-	// re-evaluate the survivors as a smaller client set.
-	n := len(workloads)
-	remaining := make([]float64, n) // fraction of work left
-	finish := make([]float64, n)    // completion time (seconds)
-	active := make([]int, n)
-	for i := range active {
-		active[i] = i
-		remaining[i] = 1
+	sub := make([]*trace.Workload, 0, len(workloads))
+	var subShares []float64
+	if shares != nil {
+		subShares = make([]float64, 0, len(shares))
 	}
-	cur := steady
-	var clock float64
-	for len(active) > 0 {
-		// Earliest completion among active apps at current rates.
-		best := -1
-		bestDT := 0.0
-		for k, ai := range active {
-			dt := remaining[ai] * cur[k].TimeSec
-			if best < 0 || dt < bestDT {
-				best, bestDT = k, dt
-			}
+	done, err := phasesum.Departures(steady, resultTime, func(active []int) ([]Result, error) {
+		sub = sub[:0]
+		for _, ai := range active {
+			sub = append(sub, workloads[ai])
 		}
-		for k, ai := range active {
-			if cur[k].TimeSec > 0 {
-				remaining[ai] -= bestDT / cur[k].TimeSec
-			} else {
-				remaining[ai] = 0
-			}
-		}
-		clock += bestDT
-		done := active[best]
-		finish[done] = clock
-		remaining[done] = 0
-		active = append(active[:best], active[best+1:]...)
-		if len(active) == 0 {
-			break
-		}
-		sub := make([]*trace.Workload, len(active))
-		var subShares []float64
 		if shares != nil {
-			subShares = make([]float64, len(active))
-		}
-		for k, ai := range active {
-			sub[k] = workloads[ai]
-			if shares != nil {
-				subShares[k] = shares[ai]
+			subShares = subShares[:0]
+			for _, ai := range active {
+				subShares = append(subShares, shares[ai])
 			}
 		}
-		cur, err = steadyFn(sub, subShares)
-		if err != nil {
-			return nil, err
-		}
+		return steadyFn(sub, subShares)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Report: completion times from the phased schedule; rates and memory
-	// statistics from the full-contention period (the shared-run counters
-	// a profiler attached to the co-run window would read).
-	out := make([]Result, n)
+	out := make([]Result, len(workloads))
 	for i := range workloads {
 		out[i] = steady[i]
-		out[i].TimeSec = finish[i]
-		out[i].Cycles = finish[i] * cfg.FreqGHz * 1e9
+		out[i].TimeSec = done[i]
+		out[i].Cycles = done[i] * cfg.FreqGHz * 1e9
 		if out[i].Cycles > 0 {
 			out[i].IPC = float64(out[i].Instructions) / out[i].Cycles
 		}
 	}
 	return out, nil
 }
+
+func resultTime(r *Result) float64 { return r.TimeSec }
 
 // runSteady computes per-app execution times assuming the full client set
 // stays resident for the whole run. A nil shares slice is the equal MPS
@@ -371,28 +335,12 @@ func runSteady(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, sh
 // evaluators.
 func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, mem [][]phaseMem, l2Rates, tlbRates []float64) []Result {
 	n := len(workloads)
-	smShares := make([]float64, n) // MPS spatial partitioning
-	if shares == nil {
-		equal := float64(cfg.SMs) / float64(n)
-		for i := range smShares {
-			smShares[i] = equal
-		}
-	} else {
-		var sum float64
-		for _, s := range shares {
-			sum += s
-		}
-		for i, s := range shares {
-			smShares[i] = float64(cfg.SMs) * (s / sum)
-		}
-	}
+	smShares := smSharesOf(cfg, n, shares) // MPS spatial partitioning
 
-	results := make([]Result, n)
-	traffic := make([]float64, n)
+	demand := make([]float64, n)
 	for i, w := range workloads {
 		cycles, bytes := appCycles(cfg, w, mem[i], smShares[i], n, 0)
-		results[i].Cycles = cycles
-		traffic[i] = bytes
+		demand[i] = phasesum.BandwidthDemand{Bytes: bytes, Sec: cycles / (cfg.FreqGHz * 1e9)}.Rate()
 	}
 	// PCIe: each client first ships its input batch; concurrent clients
 	// split the link evenly while their transfers overlap.
@@ -407,7 +355,9 @@ func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, me
 		pcieShare /= float64(transferring)
 	}
 
-	share := bandwidthShares(cfg, results, traffic)
+	// DRAM: max-min fair apportioning among the MPS clients.
+	share := memsim.Waterfill(cfg.DRAMBandwidth, demand)
+	results := make([]Result, n)
 	for i, w := range workloads {
 		cycles, bytes := appCycles(cfg, w, mem[i], smShares[i], n, share[i])
 		if w.TransferBytes > 0 {
@@ -430,6 +380,27 @@ func steadyFromMem(cfg Config, workloads []*trace.Workload, shares []float64, me
 	return results
 }
 
+// smSharesOf is the MPS SM partitioning: the equal legacy SMs/n split for
+// nil shares, SMs scaled by each client's normalized weight otherwise.
+func smSharesOf(cfg Config, n int, shares []float64) []float64 {
+	out := make([]float64, n)
+	if shares == nil {
+		equal := float64(cfg.SMs) / float64(n)
+		for i := range out {
+			out[i] = equal
+		}
+		return out
+	}
+	var sum float64
+	for _, s := range shares {
+		sum += s
+	}
+	for i, s := range shares {
+		out[i] = float64(cfg.SMs) * (s / sum)
+	}
+	return out
+}
+
 // BagTime returns the makespan of a concurrent run: the paper's prediction
 // target for a bag of tasks.
 func BagTime(results []Result) float64 {
@@ -440,19 +411,6 @@ func BagTime(results []Result) float64 {
 		}
 	}
 	return max
-}
-
-// bandwidthShares apportions device DRAM bandwidth among MPS clients with
-// max-min fairness (see memsim.Waterfill).
-func bandwidthShares(cfg Config, prelim []Result, traffic []float64) []float64 {
-	demand := make([]float64, len(prelim))
-	for i := range prelim {
-		t := prelim[i].Cycles / (cfg.FreqGHz * 1e9)
-		if t > 0 {
-			demand[i] = traffic[i] / t
-		}
-	}
-	return memsim.Waterfill(cfg.DRAMBandwidth, demand)
 }
 
 // PhaseTiming reports one kernel's simulated timing decomposition.

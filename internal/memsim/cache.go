@@ -53,8 +53,6 @@ type Cache struct {
 	clock uint64
 
 	stats []CacheStats // indexed by source id
-	// crossEvictions[victim] counts lines lost to any other source.
-	crossEvictions []uint64
 }
 
 // CacheStats accumulates per-source access results.
@@ -88,15 +86,14 @@ func NewCache(name string, totalBytes int64, ways, nSources int) (*Cache, error)
 		sets = 1 << (bits.Len(uint(sets)) - 1)
 	}
 	c := &Cache{
-		name:           name,
-		sets:           sets,
-		ways:           ways,
-		setShift:       uint(bits.TrailingZeros(uint(LineSize))),
-		setMask:        uint64(sets - 1),
-		tagShift:       uint(bits.Len(uint(sets - 1))),
-		lines:          make([]line, sets*ways),
-		stats:          make([]CacheStats, nSources),
-		crossEvictions: make([]uint64, nSources),
+		name:     name,
+		sets:     sets,
+		ways:     ways,
+		setShift: uint(bits.TrailingZeros(uint(LineSize))),
+		setMask:  uint64(sets - 1),
+		tagShift: uint(bits.Len(uint(sets - 1))),
+		lines:    make([]line, sets*ways),
+		stats:    make([]CacheStats, nSources),
 	}
 	return c, nil
 }
@@ -127,9 +124,6 @@ func (c *Cache) Access(source int, addr uint64) bool {
 	// Miss: install over the LRU way.
 	c.stats[source].Misses++
 	l := &ways[lruWay]
-	if l.valid && l.src != int32(source) {
-		c.crossEvictions[l.src]++
-	}
 	l.tag = tag
 	l.valid = true
 	l.src = int32(source)
@@ -140,25 +134,9 @@ func (c *Cache) Access(source int, addr uint64) bool {
 // Stats returns the accumulated statistics for source.
 func (c *Cache) Stats(source int) CacheStats { return c.stats[source] }
 
-// CrossEvictions returns how many of source's lines were evicted by other
-// sources — the direct measure of destructive interference.
-func (c *Cache) CrossEvictions(source int) uint64 { return c.crossEvictions[source] }
-
 // Reset clears contents and statistics, keeping the geometry.
 func (c *Cache) Reset() {
 	clear(c.lines)
-	for i := range c.stats {
-		c.stats[i] = CacheStats{}
-		c.crossEvictions[i] = 0
-	}
+	clear(c.stats)
 	c.clock = 0
 }
-
-// Sets returns the number of sets (exported for tests).
-func (c *Cache) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
-// CapacityBytes returns the rounded capacity actually simulated.
-func (c *Cache) CapacityBytes() int64 { return int64(c.sets) * int64(c.ways) * LineSize }

@@ -61,7 +61,7 @@ func TestCacheLRUOrder(t *testing.T) {
 	// Two-way set: A, B fill it; touching A again then adding C must
 	// evict B, not A.
 	c := mustCache(t, 2*LineSize, 2, 1)
-	sets := uint64(c.Sets()) // 1 set expected
+	sets := uint64(c.sets) // 1 set expected
 	if sets != 1 {
 		t.Fatalf("expected 1 set, got %d", sets)
 	}
@@ -75,21 +75,6 @@ func TestCacheLRUOrder(t *testing.T) {
 	}
 	if c.Access(0, b) {
 		t.Error("LRU kept the LRU line")
-	}
-}
-
-func TestCacheCrossEvictions(t *testing.T) {
-	c := mustCache(t, 2*LineSize, 2, 2)
-	c.Access(0, 0)
-	c.Access(0, LineSize)
-	// Source 1 floods the set.
-	c.Access(1, 2*LineSize)
-	c.Access(1, 3*LineSize)
-	if got := c.CrossEvictions(0); got != 2 {
-		t.Fatalf("CrossEvictions(0) = %d, want 2", got)
-	}
-	if got := c.CrossEvictions(1); got != 0 {
-		t.Fatalf("CrossEvictions(1) = %d, want 0", got)
 	}
 }
 
@@ -125,11 +110,11 @@ func TestCacheCapacityRounding(t *testing.T) {
 	// 3000 bytes with 64B lines and 4 ways: sets rounded down to a
 	// power of two.
 	c := mustCache(t, 3000, 4, 1)
-	if c.Sets()&(c.Sets()-1) != 0 {
-		t.Fatalf("sets %d not a power of two", c.Sets())
+	if c.sets&(c.sets-1) != 0 {
+		t.Fatalf("sets %d not a power of two", c.sets)
 	}
-	if c.CapacityBytes() > 3000 {
-		t.Fatalf("capacity %d exceeds request", c.CapacityBytes())
+	if capacity := int64(c.sets) * int64(c.ways) * LineSize; capacity > 3000 {
+		t.Fatalf("capacity %d exceeds request", capacity)
 	}
 }
 

@@ -104,8 +104,8 @@ func TestTLBDifferential(t *testing.T) {
 					t.Errorf("source %d stats: fast %+v, reference %+v", s, fast.Stats(s), ref.Stats(s))
 				}
 			}
-			if fast.Flushes() != ref.Flushes() {
-				t.Errorf("flushes: fast %d, reference %d", fast.Flushes(), ref.Flushes())
+			if fast.flushes != ref.flushes {
+				t.Errorf("flushes: fast %d, reference %d", fast.flushes, ref.flushes)
 			}
 		})
 		totalAccesses += cc.accesses
@@ -155,8 +155,8 @@ func TestCacheDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newRefCache(cc.bytes, cc.ways, cc.sources)
-			if fast.Sets() != ref.sets {
-				t.Fatalf("geometry mismatch: fast %d sets, reference %d", fast.Sets(), ref.sets)
+			if fast.sets != ref.sets {
+				t.Fatalf("geometry mismatch: fast %d sets, reference %d", fast.sets, ref.sets)
 			}
 			rng := xrand.New(uint64(cc.bytes) + uint64(cc.ways))
 			for i := 0; i < cc.accesses; i++ {
@@ -185,10 +185,6 @@ func TestCacheDifferential(t *testing.T) {
 			for s := 0; s < cc.sources; s++ {
 				if fast.Stats(s) != ref.Stats(s) {
 					t.Errorf("source %d stats: fast %+v, reference %+v", s, fast.Stats(s), ref.Stats(s))
-				}
-				if fast.CrossEvictions(s) != ref.CrossEvictions(s) {
-					t.Errorf("source %d cross-evictions: fast %d, reference %d",
-						s, fast.CrossEvictions(s), ref.CrossEvictions(s))
 				}
 			}
 		})

@@ -60,9 +60,6 @@ func (p *StridePrefetcher) OnMiss(addr uint64) []uint64 {
 	return out
 }
 
-// Issued returns the total number of prefetches emitted.
-func (p *StridePrefetcher) Issued() uint64 { return p.issued }
-
 // Install inserts addr's line into the cache on behalf of source without
 // touching the demand statistics — the path prefetch fills take.
 func (c *Cache) Install(source int, addr uint64) {
@@ -86,9 +83,6 @@ func (c *Cache) Install(source int, addr uint64) {
 		}
 	}
 	l := &ways[lruWay]
-	if l.valid && l.src != int32(source) {
-		c.crossEvictions[l.src]++
-	}
 	l.tag = tag
 	l.valid = true
 	l.src = int32(source)

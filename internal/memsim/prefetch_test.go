@@ -17,8 +17,8 @@ func TestPrefetcherDetectsStride(t *testing.T) {
 	if got[0] != 6*LineSize || got[1] != 8*LineSize {
 		t.Fatalf("prefetch targets %v", got)
 	}
-	if p.Issued() != 2 {
-		t.Fatalf("Issued() = %d", p.Issued())
+	if p.issued != 2 {
+		t.Fatalf("issued = %d", p.issued)
 	}
 }
 

@@ -83,23 +83,21 @@ func (t *refTLB) Reset() {
 }
 
 func (t *refTLB) Stats(source int) CacheStats { return t.stats[source] }
-func (t *refTLB) Flushes() uint64             { return t.flushes }
 
 // refCache is the original set-associative cache with parallel
 // tags/valid/src/lru slices and the per-access bits.Len tag-shift
 // recomputation (the hoisting of which is one of this PR's fixes).
 type refCache struct {
-	sets           int
-	ways           int
-	setShift       uint
-	setMask        uint64
-	tags           []uint64
-	valid          []bool
-	src            []int
-	lru            []uint64
-	clock          uint64
-	stats          []CacheStats
-	crossEvictions []uint64
+	sets     int
+	ways     int
+	setShift uint
+	setMask  uint64
+	tags     []uint64
+	valid    []bool
+	src      []int
+	lru      []uint64
+	clock    uint64
+	stats    []CacheStats
 }
 
 func newRefCache(totalBytes int64, ways, nSources int) *refCache {
@@ -109,16 +107,15 @@ func newRefCache(totalBytes int64, ways, nSources int) *refCache {
 		sets = 1 << (bits.Len(uint(sets)) - 1)
 	}
 	return &refCache{
-		sets:           sets,
-		ways:           ways,
-		setShift:       uint(bits.TrailingZeros(uint(LineSize))),
-		setMask:        uint64(sets - 1),
-		tags:           make([]uint64, sets*ways),
-		valid:          make([]bool, sets*ways),
-		src:            make([]int, sets*ways),
-		lru:            make([]uint64, sets*ways),
-		stats:          make([]CacheStats, nSources),
-		crossEvictions: make([]uint64, nSources),
+		sets:     sets,
+		ways:     ways,
+		setShift: uint(bits.TrailingZeros(uint(LineSize))),
+		setMask:  uint64(sets - 1),
+		tags:     make([]uint64, sets*ways),
+		valid:    make([]bool, sets*ways),
+		src:      make([]int, sets*ways),
+		lru:      make([]uint64, sets*ways),
+		stats:    make([]CacheStats, nSources),
 	}
 }
 
@@ -144,9 +141,6 @@ func (c *refCache) Access(source int, addr uint64) bool {
 	}
 	c.stats[source].Misses++
 	i := base + lruWay
-	if c.valid[i] && c.src[i] != source {
-		c.crossEvictions[c.src[i]]++
-	}
 	c.tags[i] = tag
 	c.valid[i] = true
 	c.src[i] = source
@@ -173,9 +167,6 @@ func (c *refCache) Install(source int, addr uint64) {
 		}
 	}
 	i := base + lruWay
-	if c.valid[i] && c.src[i] != source {
-		c.crossEvictions[c.src[i]]++
-	}
 	c.tags[i] = tag
 	c.valid[i] = true
 	c.src[i] = source
@@ -189,10 +180,8 @@ func (c *refCache) Reset() {
 	}
 	for i := range c.stats {
 		c.stats[i] = CacheStats{}
-		c.crossEvictions[i] = 0
 	}
 	c.clock = 0
 }
 
-func (c *refCache) Stats(source int) CacheStats      { return c.stats[source] }
-func (c *refCache) CrossEvictions(source int) uint64 { return c.crossEvictions[source] }
+func (c *refCache) Stats(source int) CacheStats { return c.stats[source] }

@@ -260,9 +260,6 @@ func (t *TLB) Flush() {
 // Stats returns per-source access statistics.
 func (t *TLB) Stats(source int) CacheStats { return t.stats[source] }
 
-// Flushes returns how many full flushes occurred.
-func (t *TLB) Flushes() uint64 { return t.flushes }
-
 // Entries returns the TLB capacity in entries.
 func (t *TLB) Entries() int { return t.entries }
 

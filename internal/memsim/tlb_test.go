@@ -64,8 +64,8 @@ func TestTLBFlush(t *testing.T) {
 	if tlb.Access(0, 0) {
 		t.Fatal("translation survived Flush")
 	}
-	if tlb.Flushes() != 1 {
-		t.Fatalf("Flushes() = %d", tlb.Flushes())
+	if tlb.flushes != 1 {
+		t.Fatalf("flushes = %d", tlb.flushes)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestTLBReset(t *testing.T) {
 	if st := tlb.Stats(0); st.Accesses != 0 {
 		t.Fatalf("stats after reset %+v", st)
 	}
-	if tlb.Flushes() != 0 {
+	if tlb.flushes != 0 {
 		t.Fatal("flush count survived Reset")
 	}
 	if tlb.Entries() != 4 {

@@ -31,9 +31,6 @@ func Analyze(w *trace.Workload) (Mix, error) {
 	return Mix(counts.Mix()), nil
 }
 
-// Fraction returns the fraction for one category.
-func (m Mix) Fraction(c isa.Category) float64 { return m[c] }
-
 // Percent returns the percentage (0..100) for one category, the unit used
 // in the paper's Table IV.
 func (m Mix) Percent(c isa.Category) float64 { return m[c] * 100 }

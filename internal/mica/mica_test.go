@@ -27,15 +27,15 @@ func TestAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(mix.Fraction(isa.ALU)-0.5) > 1e-12 {
-		t.Errorf("ALU fraction %v", mix.Fraction(isa.ALU))
+	if math.Abs(mix[isa.ALU]-0.5) > 1e-12 {
+		t.Errorf("ALU fraction %v", mix[isa.ALU])
 	}
 	if math.Abs(mix.Percent(isa.MEM)-30) > 1e-12 {
 		t.Errorf("MEM percent %v", mix.Percent(isa.MEM))
 	}
 	var sum float64
 	for c := isa.Category(0); c < isa.NumCategories; c++ {
-		sum += mix.Fraction(c)
+		sum += mix[c]
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("fractions sum to %v", sum)
@@ -54,8 +54,8 @@ func TestAnalyzeMultiPhaseAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(mix.Fraction(isa.MEM)-0.75) > 1e-12 {
-		t.Errorf("aggregated MEM fraction %v", mix.Fraction(isa.MEM))
+	if math.Abs(mix[isa.MEM]-0.75) > 1e-12 {
+		t.Errorf("aggregated MEM fraction %v", mix[isa.MEM])
 	}
 }
 

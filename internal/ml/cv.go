@@ -10,70 +10,6 @@ import (
 // fold, so folds never leak state through a shared model.
 type ModelFactory func() Regressor
 
-// GroupResult is the outcome of evaluating one held-out group.
-type GroupResult struct {
-	// Group is the held-out label (a benchmark name in Figure 4).
-	Group string
-	// MeanRelErr is the mean relative error (%) over the group's points.
-	MeanRelErr float64
-	// PerPoint holds the individual relative errors (%).
-	PerPoint []float64
-	// Truth and Pred hold the raw target/prediction pairs.
-	Truth, Pred []float64
-}
-
-// LeaveOneGroupOut runs the paper's Figure-4 protocol: for every distinct
-// group (benchmark), train on all other groups and test on the held-out
-// one. It returns per-group results in first-appearance order.
-func LeaveOneGroupOut(d *Dataset, factory ModelFactory) ([]GroupResult, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if d.Groups == nil {
-		return nil, fmt.Errorf("ml: LOOCV requires group labels")
-	}
-	var out []GroupResult
-	for _, g := range d.GroupNames() {
-		train, test, err := d.SplitByGroup(g)
-		if err != nil {
-			return nil, err
-		}
-		model := factory()
-		if err := model.Fit(train); err != nil {
-			return nil, fmt.Errorf("ml: group %q: %w", g, err)
-		}
-		pred, err := model.PredictAll(test.X)
-		if err != nil {
-			return nil, fmt.Errorf("ml: group %q: %w", g, err)
-		}
-		perPoint, err := RelativeErrors(test.Y, pred)
-		if err != nil {
-			return nil, fmt.Errorf("ml: group %q: %w", g, err)
-		}
-		out = append(out, GroupResult{
-			Group:      g,
-			MeanRelErr: Mean(perPoint),
-			PerPoint:   perPoint,
-			Truth:      test.Y,
-			Pred:       pred,
-		})
-	}
-	return out, nil
-}
-
-// MeanOverGroups returns the mean of the per-group mean relative errors —
-// the "9%" summary statistic of Figure 4.
-func MeanOverGroups(results []GroupResult) float64 {
-	if len(results) == 0 {
-		return 0
-	}
-	var s float64
-	for _, r := range results {
-		s += r.MeanRelErr
-	}
-	return s / float64(len(results))
-}
-
 // KFold evaluates the model with k-fold cross-validation (shuffled
 // deterministically by seed) and returns the per-fold mean relative errors.
 func KFold(d *Dataset, k int, seed uint64, factory ModelFactory) ([]float64, error) {

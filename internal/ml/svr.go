@@ -214,17 +214,6 @@ func (m *SVR) PredictAll(X [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// SupportVectors returns the number of points with non-zero dual weight.
-func (m *SVR) SupportVectors() int {
-	n := 0
-	for _, b := range m.beta {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func clamp(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -89,38 +89,3 @@ func TestFairnessBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWeightedSpeedup(t *testing.T) {
-	ws, err := WeightedSpeedup([]AppPerf{
-		{IPCAlone: 2, IPCShared: 1}, // 0.5
-		{IPCAlone: 4, IPCShared: 3}, // 0.75
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ws-1.25) > 1e-12 {
-		t.Fatalf("weighted speedup %v", ws)
-	}
-	if _, err := WeightedSpeedup(nil); err == nil {
-		t.Error("empty bag accepted")
-	}
-	if _, err := WeightedSpeedup([]AppPerf{{}}); err == nil {
-		t.Error("invalid member accepted")
-	}
-}
-
-func TestANTT(t *testing.T) {
-	v, err := ANTT([]AppPerf{
-		{IPCAlone: 2, IPCShared: 1}, // slowdown 0.5 -> NTT 2
-		{IPCAlone: 3, IPCShared: 3}, // slowdown 1.0 -> NTT 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(v-1.5) > 1e-12 {
-		t.Fatalf("ANTT %v", v)
-	}
-	if _, err := ANTT(nil); err == nil {
-		t.Error("empty bag accepted")
-	}
-}

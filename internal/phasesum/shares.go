@@ -79,14 +79,21 @@ func BandwidthBoundFrac(bw float64, demands []BandwidthDemand) float64 {
 	return 1 - bw/total
 }
 
-// TotalBandwidthDemand sums the clients' demanded DRAM rates in bytes/sec
-// (clients with no modelled time contribute nothing).
+// Rate is the demanded DRAM rate in bytes/sec: what the simulators'
+// max-min bandwidth arbitration (memsim.Waterfill) apportions. A client
+// with no modelled time demands nothing.
+func (d BandwidthDemand) Rate() float64 {
+	if d.Sec > 0 {
+		return d.Bytes / d.Sec
+	}
+	return 0
+}
+
+// TotalBandwidthDemand sums the clients' demanded DRAM rates in bytes/sec.
 func TotalBandwidthDemand(demands []BandwidthDemand) float64 {
 	var total float64
 	for _, d := range demands {
-		if d.Sec > 0 {
-			total += d.Bytes / d.Sec
-		}
+		total += d.Rate()
 	}
 	return total
 }
@@ -127,14 +134,3 @@ const (
 	// bandwidth by more than BandwidthGateRatio.
 	FallbackBandwidthGate FallbackReason = "bandwidth_gate"
 )
-
-// RunKind classifies which simulator answered a fidelity-tier co-run.
-type RunKind struct {
-	// UsedExact reports whether the exact simulator produced the result
-	// (exact fidelity, single-client runs, and mixed-tier fallbacks).
-	UsedExact bool
-	// Fallback records, for mixed-tier fallbacks only, which gate bounced
-	// the run; FallbackNone for analytic answers and for runs that were
-	// exact by configuration.
-	Fallback FallbackReason
-}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 // brownoutServer builds a server with brownout enabled and both fidelity
@@ -29,12 +30,12 @@ func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan stru
 	width := s.cfg.Model.NumFeatures()
 	block = make(chan struct{})
 	exactN, fastN = new(atomic.Int64), new(atomic.Int64)
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
-		exactN.Add(1)
-		<-block
-		return make([]float64, width), 0.5, false, nil
-	}
-	s.degradedFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+		if fid != phasesum.Fast {
+			exactN.Add(1)
+			<-block
+			return make([]float64, width), 0.5, false, nil
+		}
 		fastN.Add(1)
 		x := make([]float64, width)
 		for i := range x {
@@ -101,8 +102,8 @@ func TestBrownoutDegradesPastWatermark(t *testing.T) {
 	if fastN.Load() == 0 {
 		t.Error("degraded request never reached the fast fidelity path")
 	}
-	if n := s.Metrics().DegradedTotal(); n != 1 {
-		t.Errorf("DegradedTotal = %d, want 1", n)
+	if n := s.metrics.degraded.Load(); n != 1 {
+		t.Errorf("degraded answers = %d, want 1", n)
 	}
 
 	// /metrics exposes the counter.
@@ -166,7 +167,11 @@ func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
 	// Degraded path blocks too, so degraded slots stay held.
 	width := s.cfg.Model.NumFeatures()
 	var fastEntered atomic.Int64
-	s.degradedFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	exact := s.featuresFn
+	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+		if fid != phasesum.Fast {
+			return exact(bag, fid)
+		}
 		fastEntered.Add(1)
 		<-block
 		return make([]float64, width), 0.75, false, nil
@@ -286,21 +291,21 @@ func TestBrownoutConfigValidation(t *testing.T) {
 // answers), and snapshot entries carry only the exact tier.
 func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 	var exactN, fastN atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+		if fid == phasesum.Fast {
+			fastN.Add(1)
+			return []float64{9, 9, 9}, 0.9, nil
+		}
 		exactN.Add(1)
 		return []float64{1, 2, 3}, 0.5, nil
 	}, true, 1<<20)
-	c.computeFast = func(bag []dataset.Member) ([]float64, float64, error) {
-		fastN.Add(1)
-		return []float64{9, 9, 9}, 0.9, nil
-	}
 	bag := []dataset.Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "surf", Batch: 20}}
 
-	x, _, hit, err := c.get(bag)
+	x, _, hit, err := c.get(bag, phasesum.Exact)
 	if err != nil || hit || x[0] != 1 {
 		t.Fatalf("exact get: x=%v hit=%v err=%v", x, hit, err)
 	}
-	x, _, hit, err = c.getDegraded(bag)
+	x, _, hit, err = c.get(bag, phasesum.Fast)
 	if err != nil || hit || x[0] != 9 {
 		t.Fatalf("degraded get answered x=%v hit=%v err=%v; it must not reuse the exact entry", x, hit, err)
 	}
@@ -308,10 +313,10 @@ func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 		t.Fatalf("computes exact=%d fast=%d, want 1/1", exactN.Load(), fastN.Load())
 	}
 	// Second round hits each tier's own entry.
-	if _, _, hit, _ := c.get(bag); !hit {
+	if _, _, hit, _ := c.get(bag, phasesum.Exact); !hit {
 		t.Error("exact entry not cached")
 	}
-	if _, _, hit, _ := c.getDegraded(bag); !hit {
+	if _, _, hit, _ := c.get(bag, phasesum.Fast); !hit {
 		t.Error("degraded entry not cached")
 	}
 	if exactN.Load() != 1 || fastN.Load() != 1 {
@@ -327,14 +332,17 @@ func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 	}
 }
 
-// TestDegradedFallsBackWithoutFastPath pins the stub-cache fallback: a
-// cache built without a generator answers degraded requests from the
-// exact compute function rather than nil-dereferencing.
+// TestDegradedFallsBackWithoutFastPath pins the stub cache's one compute
+// seam: a cache built without a generator answers degraded requests from
+// the same compute function, asked for the fast tier.
 func TestDegradedFallsBackWithoutFastPath(t *testing.T) {
-	c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+		if fid != phasesum.Fast {
+			return nil, 0, fmt.Errorf("asked for tier %q, want fast", fid)
+		}
 		return []float64{4}, 0.5, nil
 	}, true, 1<<20)
-	x, _, _, err := c.getDegraded([]dataset.Member{{Benchmark: "sift", Batch: 20}})
+	x, _, _, err := c.get([]dataset.Member{{Benchmark: "sift", Batch: 20}}, phasesum.Fast)
 	if err != nil || x[0] != 4 {
 		t.Fatalf("fallback degraded get: x=%v err=%v", x, err)
 	}

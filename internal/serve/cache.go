@@ -18,13 +18,12 @@ import (
 const DefaultFeatureCacheMB = 64
 
 // featureDomain namespaces feature-cache keys inside the shared
-// simcache.Key space. degradedDomain holds the brownout fast-tier
-// entries: a separate namespace so an analytic answer can never be
-// returned to (or snapshotted for) an exact-tier request.
-const (
-	featureDomain  = "serve/features"
-	degradedDomain = "serve/features/fast"
-)
+// simcache.Key space. Entries measured at the generator's configured tier
+// live in featureDomain itself; any other tier (the brownout fast tier)
+// gets featureDomain + "/" + tier, e.g. "serve/features/fast", so an
+// analytic answer can never be returned to (or snapshotted for) a request
+// at the configured tier.
+const featureDomain = "serve/features"
 
 // recoveredPanic is a panic caught inside the feature cache's compute
 // path, converted to an error so a crashing measurement answers one 500
@@ -72,11 +71,13 @@ func (v *featureValue) sizeBytes(key string) int64 {
 // underneath additionally memoizes each member's isolated runs, so even a
 // miss on a new combination of known members only pays for the shared run.
 type featureCache struct {
-	compute func(bag []dataset.Member) ([]float64, float64, error)
-	// computeFast is the brownout miss path: the generator's fast
-	// analytic fidelity tier. Nil when the cache was built without a
-	// generator (stub tests); getDegraded then falls back to compute.
-	computeFast func(bag []dataset.Member) ([]float64, float64, error)
+	// compute measures a bag at a fidelity tier; the generator's
+	// BagFeaturesFidelity.
+	compute func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error)
+	// tier is the generator's configured fidelity: the tier ordinary
+	// requests ask for, and the only one peer fill, snapshots and warm
+	// start carry.
+	tier phasesum.Fidelity
 	// canonical collapses every permutation of a bag's members into one
 	// entry. Only safe when the generator's CanonicalOrder sorts members
 	// itself, making BagFeatures permutation-invariant.
@@ -91,8 +92,8 @@ type featureCache struct {
 	// (dataset Config.SharesLabel; "" for the equal split). Features are
 	// share-independent today, but the share vector is generator state
 	// that changes measured co-runs, so two profiles must never share a
-	// cache namespace — the same reasoning that keeps degraded entries
-	// out of the exact domain.
+	// cache namespace — the same reasoning that keeps other tiers' entries
+	// out of the configured tier's domain.
 	shares string
 
 	lru *simcache.Cache
@@ -105,10 +106,8 @@ func newFeatureCache(gen *dataset.Generator, budgetMB int) *featureCache {
 		budgetMB = DefaultFeatureCacheMB
 	}
 	return &featureCache{
-		compute: gen.BagFeatures,
-		computeFast: func(bag []dataset.Member) ([]float64, float64, error) {
-			return gen.BagFeaturesFidelity(bag, phasesum.Fast)
-		},
+		compute:   gen.BagFeaturesFidelity,
+		tier:      gen.Config().Fidelity.Effective(),
 		canonical: gen.Config().CanonicalOrder,
 		shares:    gen.Config().SharesLabel(),
 		lru:       simcache.MustNew(int64(budgetMB) << 20),
@@ -116,9 +115,10 @@ func newFeatureCache(gen *dataset.Generator, budgetMB int) *featureCache {
 }
 
 // newStubFeatureCache is the test constructor: an arbitrary compute
-// function and an explicit byte budget, no generator required.
-func newStubFeatureCache(compute func(bag []dataset.Member) ([]float64, float64, error), canonical bool, budgetBytes int64) *featureCache {
-	return &featureCache{compute: compute, canonical: canonical, lru: simcache.MustNew(budgetBytes)}
+// function at a configured exact tier and an explicit byte budget, no
+// generator required.
+func newStubFeatureCache(compute func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error), canonical bool, budgetBytes int64) *featureCache {
+	return &featureCache{compute: compute, tier: phasesum.Exact, canonical: canonical, lru: simcache.MustNew(budgetBytes)}
 }
 
 // key canonicalizes the bag when member order is irrelevant, returning the
@@ -149,49 +149,34 @@ func shareDomain(base, shares string) string {
 	return base + "?shares=" + shares
 }
 
-// cacheKey maps the canonical bag key into the simcache key space: the
-// share-qualified domain plus the bag key in the Config field.
-func (c *featureCache) cacheKey(bagKey string) simcache.Key {
-	return simcache.Key{Domain: shareDomain(featureDomain, c.shares), Config: bagKey}
+// cacheKey maps the canonical bag key at tier fid into the simcache key
+// space: the tier's share-qualified domain plus the bag key in the Config
+// field.
+func (c *featureCache) cacheKey(bagKey string, fid phasesum.Fidelity) simcache.Key {
+	domain := featureDomain
+	if fid = fid.Effective(); fid != c.tier {
+		domain += "/" + string(fid)
+	}
+	return simcache.Key{Domain: shareDomain(domain, c.shares), Config: bagKey}
 }
 
-// degradedKey is cacheKey in the fast-tier namespace.
-func (c *featureCache) degradedKey(bagKey string) simcache.Key {
-	return simcache.Key{Domain: shareDomain(degradedDomain, c.shares), Config: bagKey}
-}
-
-// get returns the bag's raw feature vector and fairness, computing them at
-// most once per resident generation. hit reports whether a *published*
-// entry answered immediately: a request that joined an in-progress first
-// computation waited out a full simulation and must not claim "cached"
-// (the pre-fix cache reported hit=true for those waiters). The returned
-// slice is shared across requests — callers must not mutate it
-// (core.Predictor.PredictRaw copies before scaling).
+// get returns the bag's raw feature vector and fairness at tier fid,
+// computing them at most once per resident generation. hit reports whether
+// a *published* entry answered immediately: a request that joined an
+// in-progress first computation waited out a full simulation and must not
+// claim "cached" (the pre-fix cache reported hit=true for those waiters).
+// The returned slice is shared across requests — callers must not mutate
+// it (core.Predictor.PredictRaw copies before scaling).
 //
 // A compute that panics must not poison the singleflight slot: the panic
 // is recovered into a *recoveredPanic error, simcache never publishes
 // errored entries, and the next request for the same bag computes fresh —
 // the panicking bag costs exactly one 500 (plus the same error for any
 // waiter that shared the slot).
-func (c *featureCache) get(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error) {
-	return c.lookup(bag, false)
-}
-
-// getDegraded is get for the brownout fast tier: same singleflight and LRU
-// discipline, separate key namespace, no peer fill (peers publish only
-// exact entries), analytic compute path.
-func (c *featureCache) getDegraded(bag []dataset.Member) (x []float64, fairness float64, hit bool, err error) {
-	return c.lookup(bag, true)
-}
-
-func (c *featureCache) lookup(bag []dataset.Member, degraded bool) (x []float64, fairness float64, hit bool, err error) {
+func (c *featureCache) get(bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error) {
 	k, canon := c.key(bag)
-	key := c.cacheKey(k)
-	if degraded {
-		key = c.degradedKey(k)
-	}
-	v, outcome, err := c.lru.Lookup(key, func() (any, int64, error) {
-		fv, err := c.computeValue(k, canon, degraded)
+	v, outcome, err := c.lru.Lookup(c.cacheKey(k, fid), func() (any, int64, error) {
+		fv, err := c.computeValue(k, canon, fid)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -204,26 +189,21 @@ func (c *featureCache) lookup(bag []dataset.Member, degraded bool) (x []float64,
 	return fv.x, fv.fairness, outcome == simcache.OutcomeHit, nil
 }
 
-// computeValue runs the miss path — peer fill first (exact tier only),
-// local simulation as the fallback — with panics recovered into
-// *recoveredPanic.
-func (c *featureCache) computeValue(key string, canon []dataset.Member, degraded bool) (fv *featureValue, err error) {
+// computeValue runs the miss path — peer fill first (configured tier
+// only: peers publish nothing else), local simulation as the fallback —
+// with panics recovered into *recoveredPanic.
+func (c *featureCache) computeValue(key string, canon []dataset.Member, fid phasesum.Fidelity) (fv *featureValue, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fv, err = nil, &recoveredPanic{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	compute := c.compute
-	if degraded {
-		if c.computeFast != nil {
-			compute = c.computeFast
-		}
-	} else if c.fill != nil {
+	if c.fill != nil && fid.Effective() == c.tier {
 		if x, fairness, ok := c.fill(key); ok {
 			return &featureValue{x: x, fairness: fairness}, nil
 		}
 	}
-	x, fairness, err := compute(canon)
+	x, fairness, err := c.compute(canon, fid)
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +213,7 @@ func (c *featureCache) computeValue(key string, canon []dataset.Member, degraded
 // peek returns the published entry for a canonical bag key without
 // waiting, computing, or touching recency — the peer-fill serving side.
 func (c *featureCache) peek(bagKey string) (*featureValue, bool) {
-	v, ok := c.lru.Peek(c.cacheKey(bagKey))
+	v, ok := c.lru.Peek(c.cacheKey(bagKey, c.tier))
 	if !ok {
 		return nil, false
 	}
@@ -244,16 +224,17 @@ func (c *featureCache) peek(bagKey string) (*featureValue, bool) {
 // wins. Reports whether this call inserted a still-resident entry.
 func (c *featureCache) seed(bagKey string, x []float64, fairness float64) bool {
 	fv := &featureValue{x: x, fairness: fairness}
-	return c.lru.Seed(c.cacheKey(bagKey), fv, fv.sizeBytes(bagKey))
+	return c.lru.Seed(c.cacheKey(bagKey, c.tier), fv, fv.sizeBytes(bagKey))
 }
 
-// entries lists the published exact-tier entries MRU-first (the snapshot
-// body). Degraded fast-tier entries are deliberately excluded: snapshots
-// and peer fills must only ever carry exact features.
+// entries lists the published configured-tier entries MRU-first (the
+// snapshot body). Other tiers' entries are deliberately excluded:
+// snapshots and peer fills must only ever carry configured-tier features.
 func (c *featureCache) entries() []SnapshotEntry {
 	var out []SnapshotEntry
+	domain := c.cacheKey("", c.tier).Domain
 	c.lru.Items(func(key simcache.Key, val any, _ int64) bool {
-		if key.Domain != shareDomain(featureDomain, c.shares) {
+		if key.Domain != domain {
 			return true
 		}
 		if fv, ok := val.(*featureValue); ok {

@@ -159,9 +159,6 @@ func (m *Metrics) Degraded()            { m.degraded.Add(1) }
 func (m *Metrics) IncDegradedInFlight() { m.degradedInFlight.Add(1) }
 func (m *Metrics) DecDegradedInFlight() { m.degradedInFlight.Add(-1) }
 
-// DegradedTotal returns how many answers came from the fast tier.
-func (m *Metrics) DegradedTotal() int64 { return m.degraded.Load() }
-
 // SetSimCacheSource installs the snapshot function behind the
 // mapc_simcache_* metrics (typically dataset.Generator.SimCacheStats).
 // Call before serving begins; the source itself must be concurrency-safe.
@@ -181,15 +178,9 @@ func (m *Metrics) SetFidelitySource(src func() dataset.FidelityStats) { m.fideli
 func (m *Metrics) PeerFillHit()  { m.peerFillHits.Add(1) }
 func (m *Metrics) PeerFillMiss() { m.peerFillMisses.Add(1) }
 
-// PeerFillHits returns the number of misses answered by a sibling replica.
-func (m *Metrics) PeerFillHits() int64 { return m.peerFillHits.Load() }
-
 // Panic records one recovered request panic (the request got a 500; the
 // process survived).
 func (m *Metrics) Panic() { m.panics.Add(1) }
-
-// PanicsTotal returns the recovered-panic count.
-func (m *Metrics) PanicsTotal() int64 { return m.panics.Load() }
 
 // IncInFlight / DecInFlight move the in-flight gauge.
 func (m *Metrics) IncInFlight() { m.inFlight.Add(1) }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 const predictBody = `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
@@ -24,13 +25,13 @@ func TestPredictTaskPanicReturns500AndProcessSurvives(t *testing.T) {
 
 	var panicOnce sync.Once
 	real := s.featuresFn
-	s.featuresFn = func(bag []dataset.Member) ([]float64, float64, bool, error) {
+	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
 		var fired bool
 		panicOnce.Do(func() { fired = true })
 		if fired {
 			panic(fmt.Sprintf("injected measurement crash for %s", dataset.BagKeyOf(bag)))
 		}
-		return real(bag)
+		return real(bag, fid)
 	}
 
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict", predictBody)
@@ -44,7 +45,7 @@ func TestPredictTaskPanicReturns500AndProcessSurvives(t *testing.T) {
 	if strings.Contains(er.Error, "goroutine") {
 		t.Errorf("stack leaked to the client: %q", er.Error)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.metrics.panics.Load(); got != 1 {
 		t.Fatalf("mapc_serve_panics_total = %d after one panic, want 1", got)
 	}
 
@@ -53,7 +54,7 @@ func TestPredictTaskPanicReturns500AndProcessSurvives(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("request after recovered panic answered %d: %s", rr.Code, rr.Body)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.metrics.panics.Load(); got != 1 {
 		t.Errorf("panic counter moved to %d on a healthy request", got)
 	}
 
@@ -72,7 +73,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 	gen, _ := fixture(t)
 	c := newFeatureCache(gen, 0)
 	calls := 0
-	c.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	c.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		calls++
 		if calls == 1 {
 			panic("first compute dies")
@@ -84,7 +85,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 		{Benchmark: "surf", Batch: 20},
 	}
 
-	_, _, _, err := c.get(bag)
+	_, _, _, err := c.get(bag, phasesum.Exact)
 	var rp *recoveredPanic
 	if !errors.As(err, &rp) {
 		t.Fatalf("first get returned %v, want *recoveredPanic", err)
@@ -96,7 +97,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 		t.Fatalf("panicked entry still cached (Len=%d): cache poisoned", n)
 	}
 
-	x, fairness, hit, err := c.get(bag)
+	x, fairness, hit, err := c.get(bag, phasesum.Exact)
 	if err != nil {
 		t.Fatalf("retry after panic failed: %v", err)
 	}
@@ -111,7 +112,7 @@ func TestFeatureCachePanicIsNotPoisoned(t *testing.T) {
 	}
 
 	// Third get is a plain hit — the healthy entry stays cached.
-	if _, _, hit, err := c.get(bag); err != nil || !hit {
+	if _, _, hit, err := c.get(bag, phasesum.Exact); err != nil || !hit {
 		t.Fatalf("third get hit=%v err=%v, want cached success", hit, err)
 	}
 	if calls != 2 {
@@ -129,19 +130,19 @@ func TestFullHandlerCachePanicComputesFreshOnRetry(t *testing.T) {
 
 	realCompute := s.cache.compute
 	calls := 0
-	s.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	s.cache.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		calls++
 		if calls == 1 {
 			panic("cache compute crash")
 		}
-		return realCompute(bag)
+		return realCompute(bag, fid)
 	}
 
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict", predictBody)
 	if rr.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking compute answered %d: %s", rr.Code, rr.Body)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.metrics.panics.Load(); got != 1 {
 		t.Fatalf("panics total = %d, want 1", got)
 	}
 	if n := s.cache.Len(); n != 0 {
@@ -180,7 +181,7 @@ func TestRecoverPanicsMiddleware(t *testing.T) {
 	if err := json.Unmarshal(rr.Body.Bytes(), &er); err != nil {
 		t.Fatalf("non-JSON recovery body %q: %v", rr.Body, err)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 1 {
+	if got := s.metrics.panics.Load(); got != 1 {
 		t.Errorf("panics total = %d, want 1", got)
 	}
 
@@ -194,7 +195,7 @@ func TestRecoverPanicsMiddleware(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("late-panic status rewritten to %d", rr.Code)
 	}
-	if got := s.Metrics().PanicsTotal(); got != 2 {
+	if got := s.metrics.panics.Load(); got != 2 {
 		t.Errorf("panics total = %d, want 2", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 // Share-qualified cache namespaces: two caches measuring different MPS
@@ -17,10 +18,24 @@ func TestShareDomainQualifiesKeys(t *testing.T) {
 	if got := shareDomain(featureDomain, "0.7/0.3"); got != featureDomain+"?shares=0.7/0.3" {
 		t.Errorf("share-qualified domain %q", got)
 	}
-	a := shareDomain(degradedDomain, "0.7/0.3")
-	b := shareDomain(featureDomain, "0.7/0.3")
-	if a == b {
-		t.Error("degraded and exact namespaces collided under a share profile")
+	// Tier domains: the configured tier owns the bare domain, any other
+	// tier appends its name. Snapshots and peers depend on these bytes.
+	c := newStubFeatureCache(nil, false, 1<<20)
+	for _, tc := range []struct {
+		tier, fid      phasesum.Fidelity
+		shares, domain string
+	}{
+		{phasesum.Exact, phasesum.Exact, "", "serve/features"},
+		{phasesum.Exact, "", "", "serve/features"},
+		{phasesum.Exact, phasesum.Fast, "", "serve/features/fast"},
+		{phasesum.Fast, phasesum.Fast, "", "serve/features"},
+		{phasesum.Exact, phasesum.Exact, "0.7/0.3", "serve/features?shares=0.7/0.3"},
+		{phasesum.Exact, phasesum.Fast, "0.7/0.3", "serve/features/fast?shares=0.7/0.3"},
+	} {
+		c.tier, c.shares = tc.tier, tc.shares
+		if got := c.cacheKey("k", tc.fid).Domain; got != tc.domain {
+			t.Errorf("tier %q asked %q shares %q: domain %q, want %q", tc.tier, tc.fid, tc.shares, got, tc.domain)
+		}
 	}
 }
 
@@ -29,7 +44,7 @@ func TestShareDomainQualifiesKeys(t *testing.T) {
 // entries per profile, and entries() only lists the cache's own profile.
 func TestSharedLRUSeparatesShareProfiles(t *testing.T) {
 	mk := func(shares string, val float64) *featureCache {
-		c := newStubFeatureCache(func(bag []dataset.Member) ([]float64, float64, error) {
+		c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 			return []float64{val}, val, nil
 		}, false, 1<<20)
 		c.shares = shares
@@ -39,11 +54,11 @@ func TestSharedLRUSeparatesShareProfiles(t *testing.T) {
 	skew := mk("0.7/0.3", 2)
 
 	bag := []dataset.Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "surf", Batch: 20}}
-	xe, _, _, err := equal.get(bag)
+	xe, _, _, err := equal.get(bag, phasesum.Exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, _, _, err := skew.get(bag)
+	xs, _, _, err := skew.get(bag, phasesum.Exact)
 	if err != nil {
 		t.Fatal(err)
 	}

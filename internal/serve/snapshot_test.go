@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mapc/internal/dataset"
+	"mapc/internal/phasesum"
 )
 
 // snapPredict asks the handler for one bag and returns the raw response.
@@ -49,7 +50,7 @@ func TestSnapshotWarmStartBitIdentical(t *testing.T) {
 	s2 := newTestServer(t, nil)
 	// A warmed replica must not need its simulator for the snapshotted
 	// working set: any compute is the test failing.
-	s2.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	s2.cache.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		t.Errorf("warmed replica simulated bag %v", bag)
 		return nil, 0, nil
 	}
@@ -135,9 +136,9 @@ func TestWarmFromPeerAndPeerFill(t *testing.T) {
 	fresh := newTestServer(t, nil)
 	var computes atomic.Int64
 	realCompute := fresh.cache.compute
-	fresh.cache.compute = func(bag []dataset.Member) ([]float64, float64, error) {
+	fresh.cache.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		computes.Add(1)
-		return realCompute(bag)
+		return realCompute(bag, fid)
 	}
 
 	// Join-time warm start: pull the peer's whole snapshot.
@@ -175,8 +176,8 @@ func TestWarmFromPeerAndPeerFill(t *testing.T) {
 	if computes.Load() != 0 {
 		t.Fatalf("peer fill fell through to %d local simulations", computes.Load())
 	}
-	if fresh.Metrics().PeerFillHits() != 1 {
-		t.Errorf("peer-fill hits = %d, want 1", fresh.Metrics().PeerFillHits())
+	if fresh.metrics.peerFillHits.Load() != 1 {
+		t.Errorf("peer-fill hits = %d, want 1", fresh.metrics.peerFillHits.Load())
 	}
 
 	// A bag nobody holds falls through to the local simulator.
