@@ -269,7 +269,12 @@ func run(target string, m *mix, qps float64, concurrency int, warmup, duration t
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
-	client := &http.Client{Timeout: 2 * time.Minute}
+	// Keep an idle connection per in-flight slot: the default pool of 2
+	// would make most requests at high concurrency dial afresh, and the
+	// run would measure TCP set-up instead of the server.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = concurrency, concurrency
+	client := &http.Client{Timeout: 2 * time.Minute, Transport: tr}
 	url := strings.TrimRight(target, "/") + "/v1/predict"
 
 	res := &result{byStatus: map[int]int64{}, answers: map[string]string{}}

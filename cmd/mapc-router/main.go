@@ -77,7 +77,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		forwardClient = &http.Client{Transport: faultinject.NewTransport(http.DefaultTransport, plan)}
+		forwardClient = &http.Client{Transport: faultinject.NewTransport(cluster.ForwardTransport(), plan)}
 		probeClient = &http.Client{Transport: faultinject.NewTransport(http.DefaultTransport, plan)}
 		logf("CHAOS: injecting %d fault spec(s) into forward and probe clients", len(plan.Faults))
 	}

@@ -40,8 +40,9 @@ const (
 type RouterConfig struct {
 	// Pool is the replica membership; required.
 	Pool *Pool
-	// Client forwards prediction sub-batches; nil means a fresh client
-	// with no global timeout (per-request contexts bound each forward).
+	// Client forwards prediction sub-batches; nil means a client over
+	// ForwardTransport with no global timeout (per-request contexts bound
+	// each forward).
 	Client *http.Client
 	// Timeout bounds one client request end-to-end across all forwards
 	// and retries; 0 means DefaultRouterTimeout.
@@ -80,13 +81,26 @@ type Router struct {
 	start   time.Time
 }
 
+// ForwardTransport is the router's forward transport: http.DefaultTransport
+// with an idle pool of serve.DefaultMaxInFlight connections per replica,
+// as many requests as a replica admits at once. The default pool keeps 2,
+// so every burst past that reopened its connections. The total idle cap is
+// lifted (the default 100 would bind from two replicas on); the
+// per-replica cap bounds it.
+func ForwardTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = serve.DefaultMaxInFlight
+	t.MaxIdleConns = 0
+	return t
+}
+
 // NewRouter validates the config and returns a ready router.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Pool == nil {
 		return nil, errors.New("cluster: router needs a pool")
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
+		cfg.Client = &http.Client{Transport: ForwardTransport()}
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultRouterTimeout

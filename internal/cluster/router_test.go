@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mapc/internal/core"
 	"mapc/internal/dataset"
@@ -369,5 +372,68 @@ func TestRouterMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestRouterReusesForwardConnections pins the forward pool's size: two
+// waves of 32 concurrent requests to one replica open at most 32
+// connections, because the router keeps a wave's connections idle for the
+// next one. The replica holds each wave's requests until all 32 have
+// arrived, so each wave really needs 32 connections at once. With Go's
+// default idle pool of 2, the second wave reopened about 30.
+func TestRouterReusesForwardConnections(t *testing.T) {
+	const wave = 32
+	backend, _ := newReplica(t)
+	var arrived, opened atomic.Int64
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/predict" {
+			n := arrived.Add(1) - 1
+			if n%wave == wave-1 {
+				close(release[n/wave])
+			}
+			select {
+			case <-release[n/wave]:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		backend.Handler().ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	pool, err := NewPool(PoolConfig{Replicas: []string{ts.URL}, FailAfter: 1, ReviveAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewRouter(RouterConfig{Pool: pool, Timeout: 30 * time.Second, AttemptTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
+	for w := 0; w < len(release); w++ {
+		var wg sync.WaitGroup
+		codes := make([]int, wave)
+		for i := range codes {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				codes[i] = post(t, rt.Handler(), body).Code
+			}(i)
+		}
+		wg.Wait()
+		for i, c := range codes {
+			if c != http.StatusOK {
+				t.Fatalf("wave %d request %d answered %d", w, i, c)
+			}
+		}
+	}
+	if n := opened.Load(); n > wave {
+		t.Fatalf("two waves of %d concurrent requests opened %d connections, want at most %d", wave, n, wave)
 	}
 }

@@ -27,9 +27,8 @@ type summaryEntry struct{ sum phasesum.Summary }
 // privResultFor returns app w's private replay for slot ai through the
 // memo (the same "cpusim/priv" entries the exact shared path uses; a nil
 // memo computes it).
-func privResultFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int) (privResult, error) {
-	key := simcache.Key{Domain: memoDomainPriv, Config: configKey(cfg), Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+func privResultFor(cfg Config, memo *corunMemo, w *trace.Workload, ai int) (privResult, error) {
+	v, err := memo.get(memoDomainPriv, w, ai, func() (any, int64, error) {
 		l1, err := memsim.NewCache("l1", cfg.L1Bytes, cfg.L1Ways, 1)
 		if err != nil {
 			return nil, 0, err
@@ -63,9 +62,8 @@ func privResultFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int) 
 // boundSummaryFor returns the memoized reuse sketch of app w's LLC-bound
 // stream at slot ai. pr must be the matching privResult (its bound/ends
 // are only read on a memo miss).
-func boundSummaryFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int, pr privResult) (phasesum.Summary, error) {
-	key := simcache.Key{Domain: memoDomainSum, Config: configKey(cfg), Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+func boundSummaryFor(memo *corunMemo, w *trace.Workload, ai int, pr privResult) (phasesum.Summary, error) {
+	v, err := memo.get(memoDomainSum, w, ai, func() (any, int64, error) {
 		sum := phasesum.Summarize(pr.bound, pr.ends)
 		return summaryEntry{sum: sum}, sum.Bytes(), nil
 	})
@@ -81,7 +79,7 @@ func boundSummaryFor(cfg Config, memo *simcache.Cache, w *trace.Workload, ai int
 // confidence, whose only fallback reason is low confidence (the CPU model
 // has no share partitioning or DRAM gate). An isolated app is computed
 // exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, phasesum.Gate, error) {
+func runSteadyAnalytic(cfg Config, memo *corunMemo, apps []App) ([]Result, phasesum.Gate, error) {
 	if len(apps) == 1 {
 		res, err := runSteady(cfg, memo, apps)
 		return res, phasesum.Gate{Conf: 1}, err
@@ -99,7 +97,7 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 			return nil, phasesum.Gate{}, err
 		}
 		privs[ai] = pr
-		sum, err := boundSummaryFor(cfg, memo, w, ai, pr)
+		sum, err := boundSummaryFor(memo, w, ai, pr)
 		if err != nil {
 			return nil, phasesum.Gate{}, err
 		}
@@ -161,17 +159,16 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, apps []App) ([]Result, 
 // model's confidence clears phasesum.DefaultMinConfidence. The returned
 // RunKind reports which simulator answered.
 func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
+	if err := validateApps(cfg, apps); err != nil {
+		return nil, phasesum.RunKind{}, err
+	}
+	m := newCorunMemo(memo, cfg, apps)
 	return phasesum.CoRun(fid, len(apps),
-		func() ([]Result, error) { return RunMemo(cfg, memo, apps) },
-		func() ([]Result, phasesum.Gate, error) {
-			if err := validateApps(cfg, apps); err != nil {
-				return nil, phasesum.Gate{}, err
-			}
-			return runSteadyAnalytic(cfg, memo, apps)
-		},
+		func() ([]Result, error) { return runMemo(cfg, m, apps) },
+		func() ([]Result, phasesum.Gate, error) { return runSteadyAnalytic(cfg, m, apps) },
 		func(steady []Result) ([]Result, error) {
 			return phased(cfg, apps, steady, func(sub []App) ([]Result, error) {
-				r, _, err := runSteadyAnalytic(cfg, memo, sub)
+				r, _, err := runSteadyAnalytic(cfg, m, sub)
 				return r, err
 			})
 		})

@@ -15,6 +15,7 @@ package cpusim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -96,8 +97,23 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be
+// finite: a NaN passes each "must be positive" test below and would yield
+// NaN times.
 func (c *Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SMTYield", c.SMTYield}, {"FreqGHz", c.FreqGHz}, {"IssueWidth", c.IssueWidth},
+		{"L2LatencyCycles", c.L2LatencyCycles}, {"LLCLatencyCycles", c.LLCLatencyCycles},
+		{"DRAMLatency", c.DRAMLatency}, {"DRAMBandwidth", c.DRAMBandwidth}, {"MLP", c.MLP},
+		{"ForkJoinCycles", c.ForkJoinCycles},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("cpusim: %s is %v; config values must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.Cores <= 0 || c.ThreadsPerCore <= 0:
 		return errors.New("cpusim: cores and SMT ways must be positive")
@@ -113,8 +129,8 @@ func (c *Config) Validate() error {
 		return errors.New("cpusim: MLP must be positive")
 	}
 	for cat, t := range c.Throughput {
-		if t <= 0 {
-			return fmt.Errorf("cpusim: throughput for %v must be positive", isa.Category(cat))
+		if !(t > 0) || math.IsInf(t, 0) {
+			return fmt.Errorf("cpusim: throughput for %v is %v; it must be positive and finite", isa.Category(cat), t)
 		}
 	}
 	return nil
@@ -199,6 +215,11 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, err
 	}
+	return runMemo(cfg, newCorunMemo(memo, cfg, apps), apps)
+}
+
+// runMemo is RunMemo on validated apps and a built memo handle.
+func runMemo(cfg Config, memo *corunMemo, apps []App) ([]Result, error) {
 	steady, err := runSteady(cfg, memo, apps)
 	if err != nil {
 		return nil, err
@@ -266,7 +287,7 @@ func validateApps(cfg Config, apps []App) error {
 // runSteady computes per-app times assuming all apps stay co-resident.
 // mem is treated as read-only here: for memoized single-app runs it aliases
 // an immutable cache entry.
-func runSteady(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
+func runSteady(cfg Config, memo *corunMemo, apps []App) ([]Result, error) {
 	mem, llcStats, err := simulateMemory(cfg, memo, apps)
 	if err != nil {
 		return nil, err
@@ -474,9 +495,66 @@ const (
 	memoDomainIso  = "cpusim/iso"  // entire single-app memory simulation
 )
 
-// configKey renders cfg exactly for memo keys: two configurations share a
-// cache entry only when every field of the simulated machine is identical.
-func configKey(cfg Config) string { return fmt.Sprintf("%+v", cfg) }
+// corunMemo is one entry call's handle on the simulation memo. It carries
+// the key inputs every lookup of the call shares, built once when the call
+// starts: the config rendered exactly (fmt "%+v", so two configurations
+// share an entry only when every field of the simulated machine is
+// identical) and each workload's Fingerprint. The phased schedule's
+// survivors and the analytic tier's isolated anchors reuse them instead of
+// re-rendering and re-hashing per lookup; the keys are the ones a
+// per-lookup build makes. A call takes a fresh handle, so a workload
+// changed between two calls is re-fingerprinted and misses. A nil handle
+// is the cold path.
+type corunMemo struct {
+	cache  *simcache.Cache
+	config string
+	fps    []workloadFP
+	buf    [8]workloadFP // backs fps up to the largest bag, k = 8
+}
+
+type workloadFP struct {
+	w  *trace.Workload
+	fp uint64
+}
+
+// newCorunMemo builds the handle for one call over validated apps; a nil
+// cache yields the nil (cold) handle.
+func newCorunMemo(cache *simcache.Cache, cfg Config, apps []App) *corunMemo {
+	if cache == nil {
+		return nil
+	}
+	m := &corunMemo{cache: cache, config: fmt.Sprintf("%+v", cfg)}
+	m.fps = m.buf[:0]
+	for i := range apps {
+		w := apps[i].Workload
+		m.fps = append(m.fps, workloadFP{w: w, fp: w.Fingerprint()})
+	}
+	return m
+}
+
+// fingerprint returns w's fingerprint as computed when the call started.
+// Every workload a call simulates is one of its own, so the fallback never
+// runs; it keeps the key exact if that ever changes.
+func (m *corunMemo) fingerprint(w *trace.Workload) uint64 {
+	for _, f := range m.fps {
+		if f.w == w {
+			return f.fp
+		}
+	}
+	return w.Fingerprint()
+}
+
+// get returns the entry of workload w at slot in domain, computing and
+// publishing it on a miss; a nil handle always computes.
+func (m *corunMemo) get(domain string, w *trace.Workload, slot int, compute func() (any, int64, error)) (any, error) {
+	if m == nil {
+		v, _, err := compute()
+		return v, err
+	}
+	key := simcache.Key{Domain: domain, Config: m.config, Workload: m.fingerprint(w), Slot: slot}
+	v, _, err := m.cache.GetOrCompute(key, compute)
+	return v, err
+}
 
 // phaseMemBytes is the resident size of one phaseMem (3 float64 + uint64).
 const phaseMemBytes = 32
@@ -588,15 +666,9 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 // reuse memoized private phases, replaying only the LLC-bound streams
 // through the genuinely shared LLC. Outputs are bit-identical to the cold
 // path at every budget.
-func simulateMemory(cfg Config, memo *simcache.Cache, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
+func simulateMemory(cfg Config, memo *corunMemo, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
 	if memo != nil && len(apps) == 1 {
-		key := simcache.Key{
-			Domain:   memoDomainIso,
-			Config:   configKey(cfg),
-			Workload: apps[0].Workload.Fingerprint(),
-			Slot:     0,
-		}
-		v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+		v, err := memo.get(memoDomainIso, apps[0].Workload, 0, func() (any, int64, error) {
 			mem, stats, err := simulateMemoryShared(cfg, memo, apps)
 			if err != nil {
 				return nil, 0, err
@@ -615,7 +687,7 @@ func simulateMemory(cfg Config, memo *simcache.Cache, apps []App) ([][]phaseMem,
 
 // simulateMemoryShared is the full memory simulation: private phases (memo
 // hits or cold replays) followed by the shared-LLC interleave.
-func simulateMemoryShared(cfg Config, memo *simcache.Cache, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
+func simulateMemoryShared(cfg Config, memo *corunMemo, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
 	llc, err := memsim.NewCache("llc", cfg.LLCytes, cfg.LLCWays, len(apps))
 	if err != nil {
 		return nil, nil, err
@@ -676,17 +748,12 @@ func simulateMemoryShared(cfg Config, memo *simcache.Cache, apps []App) ([][]pha
 	mem := make([][]phaseMem, len(apps))
 	bounds := make([][]uint64, len(apps))
 	ends := make([][]int, len(apps))
-	var cfgKey string
-	if memo != nil {
-		cfgKey = configKey(cfg)
-	}
 	off := 0
 	for ai := range apps {
 		w := apps[ai].Workload
 		if memo != nil {
-			key := simcache.Key{Domain: memoDomainPriv, Config: cfgKey, Workload: w.Fingerprint(), Slot: ai}
 			ai := ai // capture per-iteration for the compute closure
-			v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+			v, err := memo.get(memoDomainPriv, w, ai, func() (any, int64, error) {
 				cl1, cl2, err := privCaches()
 				if err != nil {
 					return nil, 0, err

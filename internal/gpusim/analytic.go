@@ -26,9 +26,8 @@ type summaryEntry struct{ sum phasesum.Summary }
 // streamFor returns client w's materialized stream for slot ai through
 // the "gpusim/stream" memo (the same entries the exact shared path uses;
 // a nil memo computes it).
-func streamFor(memo *simcache.Cache, w *trace.Workload, ai int) (streamEntry, error) {
-	key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+func streamFor(memo *corunMemo, w *trace.Workload, ai int) (streamEntry, error) {
+	v, err := memo.get(memoDomainStream, w, ai, func() (any, int64, error) {
 		count := 0
 		for pi := range w.Phases {
 			if refs := w.Phases[pi].MemRefs(); refs > 0 {
@@ -49,9 +48,8 @@ func streamFor(memo *simcache.Cache, w *trace.Workload, ai int) (streamEntry, er
 
 // streamSummaryFor returns the memoized reuse sketch of client w's stream
 // at slot ai.
-func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum.Summary, error) {
-	key := simcache.Key{Domain: memoDomainSum, Workload: w.Fingerprint(), Slot: ai}
-	v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+func streamSummaryFor(memo *corunMemo, w *trace.Workload, ai int) (phasesum.Summary, error) {
+	v, err := memo.get(memoDomainSum, w, ai, func() (any, int64, error) {
 		se, err := streamFor(memo, w, ai)
 		if err != nil {
 			return nil, 0, err
@@ -70,7 +68,7 @@ func streamSummaryFor(memo *simcache.Cache, w *trace.Workload, ai int) (phasesum
 // estimates, then the identical timing tail. Returns the model's gate
 // (combined confidence plus the would-be fallback reason); an isolated
 // client is computed exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, phasesum.Gate, error) {
+func runSteadyAnalytic(cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, phasesum.Gate, error) {
 	if len(workloads) == 1 {
 		res, err := runSteady(cfg, memo, workloads, shares)
 		return res, phasesum.Gate{Conf: 1}, err
@@ -187,17 +185,16 @@ func runSteadyAnalytic(cfg Config, memo *simcache.Cache, workloads []*trace.Work
 // construction). The returned RunKind reports which simulator answered
 // and, for mixed-tier fallbacks, which gate bounced the run.
 func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
+	if err := validateRun(cfg, workloads, shares); err != nil {
+		return nil, phasesum.RunKind{}, err
+	}
+	m := newCorunMemo(memo, cfg, workloads)
 	return phasesum.CoRun(fid, len(workloads),
-		func() ([]Result, error) { return RunMemoShares(cfg, memo, workloads, shares) },
-		func() ([]Result, phasesum.Gate, error) {
-			if err := validateRun(cfg, workloads, shares); err != nil {
-				return nil, phasesum.Gate{}, err
-			}
-			return runSteadyAnalytic(cfg, memo, workloads, shares)
-		},
+		func() ([]Result, error) { return runMemoShares(cfg, m, workloads, shares) },
+		func() ([]Result, phasesum.Gate, error) { return runSteadyAnalytic(cfg, m, workloads, shares) },
 		func(steady []Result) ([]Result, error) {
 			return phased(cfg, workloads, shares, steady, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
-				r, _, err := runSteadyAnalytic(cfg, memo, sub, subShares)
+				r, _, err := runSteadyAnalytic(cfg, m, sub, subShares)
 				return r, err
 			})
 		})

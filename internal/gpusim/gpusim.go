@@ -125,8 +125,25 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every float field must be
+// finite: a NaN passes each "must be positive" test below and would yield
+// NaN times.
 func (c *Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"FreqGHz", c.FreqGHz}, {"TLBMissCycles", c.TLBMissCycles},
+		{"L2LatencyCycles", c.L2LatencyCycles}, {"DRAMLatency", c.DRAMLatency},
+		{"DRAMBandwidth", c.DRAMBandwidth}, {"MLP", c.MLP},
+		{"KernelLaunchCycles", c.KernelLaunchCycles}, {"PCIeBandwidth", c.PCIeBandwidth},
+		{"PCIeLatencySec", c.PCIeLatencySec}, {"SchedulerOverhead", c.SchedulerOverhead},
+		{"DivergencePenalty", c.DivergencePenalty},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("gpusim: %s is %v; config values must be finite", f.name, f.v)
+		}
+	}
 	switch {
 	case c.SMs <= 0 || c.WarpSize <= 0 || c.MaxThreadsPerSM <= 0:
 		return errors.New("gpusim: SM geometry must be positive")
@@ -148,8 +165,8 @@ func (c *Config) Validate() error {
 		return errors.New("gpusim: FullUtilThreads must be positive")
 	}
 	for cat, t := range c.Throughput {
-		if t <= 0 {
-			return fmt.Errorf("gpusim: throughput for %v must be positive", isa.Category(cat))
+		if !(t > 0) || math.IsInf(t, 0) {
+			return fmt.Errorf("gpusim: throughput for %v is %v; it must be positive and finite", isa.Category(cat), t)
 		}
 	}
 	return nil
@@ -225,6 +242,12 @@ func RunMemoShares(cfg Config, memo *simcache.Cache, workloads []*trace.Workload
 	if err := validateRun(cfg, workloads, shares); err != nil {
 		return nil, err
 	}
+	return runMemoShares(cfg, newCorunMemo(memo, cfg, workloads), workloads, shares)
+}
+
+// runMemoShares is RunMemoShares on a validated run and a built memo
+// handle.
+func runMemoShares(cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, error) {
 	steady, err := runSteady(cfg, memo, workloads, shares)
 	if err != nil {
 		return nil, err
@@ -314,7 +337,7 @@ func resultTime(r *Result) float64 { return r.TimeSec }
 // stays resident for the whole run. A nil shares slice is the equal MPS
 // split (the exact legacy SMs/n computation); otherwise each client gets
 // SMs scaled by its normalized weight.
-func runSteady(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64) ([]Result, error) {
+func runSteady(cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, error) {
 	mem, l2Stats, tlbStats, err := simulateMemory(cfg, memo, workloads)
 	if err != nil {
 		return nil, err
@@ -599,9 +622,70 @@ const (
 	memoDomainIso    = "gpusim/iso"    // entire single-client memory simulation
 )
 
-// configKey renders cfg exactly for memo keys: two configurations share a
-// cache entry only when every field of the simulated device is identical.
-func configKey(cfg Config) string { return fmt.Sprintf("%+v", cfg) }
+// corunMemo is one entry call's handle on the simulation memo. It carries
+// the key inputs every lookup of the call shares, built once when the call
+// starts: the config rendered exactly (fmt "%+v", so two configurations
+// share an iso entry only when every field of the simulated device is
+// identical) and each workload's Fingerprint. The phased schedule's
+// survivors and the analytic tier's isolated anchors reuse them instead of
+// re-rendering and re-hashing per lookup; the keys are the ones a
+// per-lookup build makes. A call takes a fresh handle, so a workload
+// changed between two calls is re-fingerprinted and misses. A nil handle
+// is the cold path.
+type corunMemo struct {
+	cache  *simcache.Cache
+	config string
+	fps    []workloadFP
+	buf    [8]workloadFP // backs fps up to the largest bag, k = 8
+}
+
+type workloadFP struct {
+	w  *trace.Workload
+	fp uint64
+}
+
+// newCorunMemo builds the handle for one call over validated workloads; a
+// nil cache yields the nil (cold) handle.
+func newCorunMemo(cache *simcache.Cache, cfg Config, workloads []*trace.Workload) *corunMemo {
+	if cache == nil {
+		return nil
+	}
+	m := &corunMemo{cache: cache, config: fmt.Sprintf("%+v", cfg)}
+	m.fps = m.buf[:0]
+	for _, w := range workloads {
+		m.fps = append(m.fps, workloadFP{w: w, fp: w.Fingerprint()})
+	}
+	return m
+}
+
+// fingerprint returns w's fingerprint as computed when the call started.
+// Every workload a call simulates is one of its own, so the fallback never
+// runs; it keeps the key exact if that ever changes.
+func (m *corunMemo) fingerprint(w *trace.Workload) uint64 {
+	for _, f := range m.fps {
+		if f.w == w {
+			return f.fp
+		}
+	}
+	return w.Fingerprint()
+}
+
+// get returns the entry of workload w at slot in domain, computing and
+// publishing it on a miss; a nil handle always computes. Only iso entries
+// depend on the device; stream-derived ones carry an empty Config (see
+// streamEntry).
+func (m *corunMemo) get(domain string, w *trace.Workload, slot int, compute func() (any, int64, error)) (any, error) {
+	if m == nil {
+		v, _, err := compute()
+		return v, err
+	}
+	key := simcache.Key{Domain: domain, Workload: m.fingerprint(w), Slot: slot}
+	if domain == memoDomainIso {
+		key.Config = m.config
+	}
+	v, _, err := m.cache.GetOrCompute(key, compute)
+	return v, err
+}
 
 // streamEntry is the memoized reference stream of one (workload, slot):
 // the sampled addresses of every phase, phase-contiguous, with ends[pi]
@@ -685,15 +769,9 @@ func materializeStream(w *trace.Workload, ai int, addrs []uint64) (streamEntry, 
 // isolated-run memo and multi-client calls reuse memoized streams,
 // replaying only the genuinely shared TLB/L2 interleave. Outputs are
 // bit-identical to the cold path at every budget.
-func simulateMemory(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
+func simulateMemory(cfg Config, memo *corunMemo, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
 	if memo != nil && len(workloads) == 1 {
-		key := simcache.Key{
-			Domain:   memoDomainIso,
-			Config:   configKey(cfg),
-			Workload: workloads[0].Fingerprint(),
-			Slot:     0,
-		}
-		v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+		v, err := memo.get(memoDomainIso, workloads[0], 0, func() (any, int64, error) {
 			mem, l2s, tlbs, err := simulateMemoryShared(cfg, memo, workloads)
 			if err != nil {
 				return nil, 0, err
@@ -713,7 +791,7 @@ func simulateMemory(cfg Config, memo *simcache.Cache, workloads []*trace.Workloa
 // simulateMemoryShared is the full memory simulation: stream
 // materialization (memo hits or cold fills) followed by the shared TLB/L2
 // interleave.
-func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
+func simulateMemoryShared(cfg Config, memo *corunMemo, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
 	n := len(workloads)
 	l2, err := memsim.NewCache("gpul2", cfg.L2Bytes, cfg.L2Ways, n)
 	if err != nil {
@@ -752,8 +830,7 @@ func simulateMemoryShared(cfg Config, memo *simcache.Cache, workloads []*trace.W
 	for ai, w := range workloads {
 		if memo != nil {
 			w, ai := w, ai // capture per-iteration for the compute closure
-			key := simcache.Key{Domain: memoDomainStream, Workload: w.Fingerprint(), Slot: ai}
-			v, _, err := memo.GetOrCompute(key, func() (any, int64, error) {
+			v, err := memo.get(memoDomainStream, w, ai, func() (any, int64, error) {
 				// Exact-capacity heap slice: the entry outlives this
 				// call, so it cannot live in the pooled arena.
 				se, err := materializeStream(w, ai, make([]uint64, counts[ai]))

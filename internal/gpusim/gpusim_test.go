@@ -1,6 +1,9 @@
 package gpusim
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mapc/internal/isa"
@@ -298,5 +301,39 @@ func TestPatternCoalescing(t *testing.T) {
 	}
 	if on, off := run(rndK, true), run(rndK, false); on != off {
 		t.Errorf("coalescing changed a random-access kernel: %v vs %v", on, off)
+	}
+}
+
+// TestConfigRejectsNonFinite sets each float field of the config — every
+// Throughput element included — to NaN, +Inf and -Inf in turn: Validate
+// must reject each case with an error naming the field. The cases are
+// found by reflection, so a float field added without a check fails here.
+func TestConfigRejectsNonFinite(t *testing.T) {
+	type floatField struct {
+		name string
+		v    func(*Config) reflect.Value
+	}
+	var fields []floatField
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Float64:
+			fields = append(fields, floatField{f.Name, func(c *Config) reflect.Value { return reflect.ValueOf(c).Elem().Field(i) }})
+		case f.Type.Kind() == reflect.Array && f.Type.Elem().Kind() == reflect.Float64:
+			for j := 0; j < f.Type.Len(); j++ {
+				fields = append(fields, floatField{"throughput for " + isa.Category(j).String(),
+					func(c *Config) reflect.Value { return reflect.ValueOf(c).Elem().Field(i).Index(j) }})
+			}
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, f := range fields {
+			cfg := DefaultConfig()
+			f.v(&cfg).SetFloat(bad)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate returned %v, want an error naming %s", f.name, bad, err, f.name)
+			}
+		}
 	}
 }

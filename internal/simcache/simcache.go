@@ -50,6 +50,11 @@ import (
 //   - Slot is the client index the workload occupies in the run: slots
 //     determine the address-space base and the stream seeds, so the same
 //     workload at slot 0 and slot 1 produces different streams.
+//
+// The simulators render Config and compute each Workload fingerprint once
+// per co-run call (RunMemo, RunMemoFidelity, ...) and build every key of
+// that call from them, so a lookup costs a map probe, not a re-render and
+// a re-hash.
 type Key struct {
 	Domain   string
 	Config   string

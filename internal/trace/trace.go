@@ -234,7 +234,10 @@ func (h *fnvHash) bool(v bool) {
 //
 //   - the simulators' memo layer (internal/simcache) keys cached pure
 //     prefixes by it, so any change to any field — including ones a given
-//     prefix does not read — forces a recompute rather than a stale hit;
+//     prefix does not read — forces a recompute rather than a stale hit.
+//     cpusim and gpusim compute it once per workload per co-run call and
+//     reuse it for every lookup of that call; the next call hashes again,
+//     so a workload changed between calls misses;
 //   - the read-only-contract tests deep-hash workloads before and after
 //     simulator runs to prove the simulators never mutate their inputs.
 //

@@ -1,8 +1,8 @@
 // Command benchjson records Go benchmark results as JSON and gates CI on
 // regressions against a committed baseline.
 //
-// Record mode runs the memsim and simcache microbenchmarks and the
-// corpus-generation benchmark (or parses saved `go test -bench` output) and
+// Record mode runs the memsim, simcache and warm co-run microbenchmarks
+// and the corpus-generation benchmark (or parses saved `go test -bench` output) and
 // appends one labelled entry to the baseline file. With -fidelity it also
 // runs the per-tier fidelity benchmark (BenchmarkFidelityCorpus), the
 // in-process differential exactness oracle, and the k × share-skew
@@ -82,7 +82,7 @@ func main() {
 	label := flag.String("label", "", "record mode: append an entry with this label to -out")
 	out := flag.String("out", "BENCH_baseline.json", "record mode: baseline file to create or append to")
 	input := flag.String("input", "", "record mode: comma-separated saved `go test -bench` output files to parse instead of running benchmarks")
-	check := flag.String("check", "", "check mode: baseline file to gate against (re-runs memsim+simcache microbenchmarks)")
+	check := flag.String("check", "", "check mode: baseline file to gate against (re-runs the gated microbenchmarks)")
 	factor := flag.Float64("factor", 2.0, "check mode: fail when fresh ns/op > factor x baseline")
 	benchtime := flag.String("benchtime", "", "passed to `go test -benchtime` (empty = go default)")
 	corpus := flag.Bool("corpus", true, "record mode: also run the slow corpus-generation benchmark")
@@ -119,12 +119,16 @@ func main() {
 }
 
 // microbenchRuns lists the fast, gated microbenchmark suites: the memsim
-// hot paths (TLB/cache/stream) and the simcache memo paths (hit,
-// move-to-front, miss+evict churn). Both record and check mode run exactly
-// this set so baseline entries and fresh runs always cover the same names.
+// hot paths (TLB/cache/stream), the simcache memo paths (hit,
+// move-to-front, miss+evict churn) and one warm fast-tier co-run per
+// simulator (memo keying plus the closed forms). Both record and check
+// mode run exactly this set so baseline entries and fresh runs always
+// cover the same names.
 var microbenchRuns = []struct{ pkg, pattern string }{
 	{"./internal/memsim", "BenchmarkTLBAccess|BenchmarkCacheAccess|BenchmarkStreamNext"},
 	{"./internal/simcache", "BenchmarkSimCache"},
+	{"./internal/cpusim", "BenchmarkCoRunFast"},
+	{"./internal/gpusim", "BenchmarkCoRunFast"},
 }
 
 func runRecord(label, out, input, benchtime string, corpus, fidelity bool, oracleFrac float64, oracleSeed uint64) error {
