@@ -3,9 +3,10 @@
 //
 // Generation is crash-safe when a checkpoint journal is enabled: every
 // completed measurement point is durably appended to the journal before
-// the run proceeds, SIGINT/SIGTERM stop the worker pool cleanly (in-flight
-// measurements finish and commit, then the journal is flushed), and a
-// later -resume run re-measures only the missing bags. The resumed corpus
+// the run proceeds, SIGINT/SIGTERM stop the worker pool cleanly (each
+// in-flight bag stops within one unit of simulator work, completed points
+// stay committed, then the journal is flushed), and a later -resume run
+// re-measures only the missing bags. The resumed corpus
 // is bit-for-bit identical to an uninterrupted run at any worker count.
 //
 // Usage:
@@ -217,9 +218,12 @@ func runScenarioMatrix(cfg dataset.Config, spec, jsonPath string, oracleFrac flo
 }
 
 // generateCheckpointed runs journaled generation with clean SIGINT/SIGTERM
-// handling: on a signal the worker pool stops claiming bags, in-flight
-// measurements finish and commit, the journal is flushed through an atomic
-// rename, and the process exits with status 130 and resume instructions.
+// handling: on a signal the worker pool stops claiming bags, each
+// in-flight bag stops within one unit of simulator work (one member
+// measurement or one steady-state evaluation) with an error wrapping
+// context.Canceled, the journal — holding every point completed before the
+// signal — is flushed through an atomic rename, and the process exits with
+// status 130 and resume instructions.
 // It only returns on full success, along with the number of points that
 // were already journaled before this run started (resume pre-fill).
 func generateCheckpointed(gen *dataset.Generator, cfg dataset.Config, path string, resume bool) (*dataset.Corpus, int) {

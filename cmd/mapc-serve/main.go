@@ -181,7 +181,10 @@ func main() {
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
-			fatal(fmt.Errorf("shutdown: %w", err))
+			// Shutdown has cancelled the requests still in flight and
+			// waited for them to answer 503; the cache holds only
+			// completed entries, so the snapshot below is saved as usual.
+			fmt.Fprintf(os.Stderr, "mapc-serve: drain overran -grace %v (%v); cancelled the in-flight requests\n", *grace, err)
 		}
 		if err := <-errc; err != nil && err != http.ErrServerClosed {
 			fatal(err)

@@ -1,6 +1,8 @@
 package cpusim
 
 import (
+	"context"
+
 	"mapc/internal/memsim"
 	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
@@ -78,10 +80,11 @@ func boundSummaryFor(memo *corunMemo, w *trace.Workload, ai int, pr privResult) 
 // the identical timing tail. Returns the model's gate: its combined
 // confidence, whose only fallback reason is low confidence (the CPU model
 // has no share partitioning or DRAM gate). An isolated app is computed
-// exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *corunMemo, apps []App) ([]Result, phasesum.Gate, error) {
+// exactly (confidence 1). ctx is checked before each app's private
+// replay.
+func runSteadyAnalytic(ctx context.Context, cfg Config, memo *corunMemo, apps []App) ([]Result, phasesum.Gate, error) {
 	if len(apps) == 1 {
-		res, err := runSteady(cfg, memo, apps)
+		res, err := runSteady(ctx, cfg, memo, apps)
 		return res, phasesum.Gate{Conf: 1}, err
 	}
 	n := len(apps)
@@ -91,6 +94,9 @@ func runSteadyAnalytic(cfg Config, memo *corunMemo, apps []App) ([]Result, phase
 	privs := make([]privResult, n)
 	isoMems := make([][]phaseMem, n)
 	for ai := range apps {
+		if err := ctx.Err(); err != nil {
+			return nil, phasesum.Gate{}, err
+		}
 		w := apps[ai].Workload
 		pr, err := privResultFor(cfg, memo, w, ai)
 		if err != nil {
@@ -107,7 +113,7 @@ func runSteadyAnalytic(cfg Config, memo *corunMemo, apps []App) ([]Result, phase
 		// model predicts contention's *delta* on top of it. Slot-0
 		// streams differ from slot-ai ones only in seed/base, so the
 		// anchor transfers; the residual is what the oracle bounds.
-		isoMem, _, err := simulateMemory(cfg, memo, []App{{Workload: w, Threads: apps[ai].Threads}})
+		isoMem, _, err := simulateMemory(ctx, cfg, memo, []App{{Workload: w, Threads: apps[ai].Threads}})
 		if err != nil {
 			return nil, phasesum.Gate{}, err
 		}
@@ -159,16 +165,25 @@ func runSteadyAnalytic(cfg Config, memo *corunMemo, apps []App) ([]Result, phase
 // model's confidence clears phasesum.DefaultMinConfidence. The returned
 // RunKind reports which simulator answered.
 func RunMemoFidelity(cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
+	return RunMemoFidelityContext(context.Background(), cfg, memo, apps, fid)
+}
+
+// RunMemoFidelityContext is RunMemoFidelity stopped by ctx: between units
+// of work — each app's private replay, the shared-LLC interleave, each
+// departure of the phased schedule — it returns ctx.Err() unwrapped.
+// Memoized computations already started run to completion, so a cancelled
+// call publishes only whole, correct memo entries.
+func RunMemoFidelityContext(ctx context.Context, cfg Config, memo *simcache.Cache, apps []App, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, phasesum.RunKind{}, err
 	}
 	m := newCorunMemo(memo, cfg, apps)
 	return phasesum.CoRun(fid, len(apps),
-		func() ([]Result, error) { return runMemo(cfg, m, apps) },
-		func() ([]Result, phasesum.Gate, error) { return runSteadyAnalytic(cfg, m, apps) },
+		func() ([]Result, error) { return runMemo(ctx, cfg, m, apps) },
+		func() ([]Result, phasesum.Gate, error) { return runSteadyAnalytic(ctx, cfg, m, apps) },
 		func(steady []Result) ([]Result, error) {
-			return phased(cfg, apps, steady, func(sub []App) ([]Result, error) {
-				r, _, err := runSteadyAnalytic(cfg, m, sub)
+			return phased(ctx, cfg, apps, steady, func(sub []App) ([]Result, error) {
+				r, _, err := runSteadyAnalytic(ctx, cfg, m, sub)
 				return r, err
 			})
 		})

@@ -13,6 +13,7 @@
 package cpusim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -215,17 +216,18 @@ func RunMemo(cfg Config, memo *simcache.Cache, apps []App) ([]Result, error) {
 	if err := validateApps(cfg, apps); err != nil {
 		return nil, err
 	}
-	return runMemo(cfg, newCorunMemo(memo, cfg, apps), apps)
+	return runMemo(context.Background(), cfg, newCorunMemo(memo, cfg, apps), apps)
 }
 
-// runMemo is RunMemo on validated apps and a built memo handle.
-func runMemo(cfg Config, memo *corunMemo, apps []App) ([]Result, error) {
-	steady, err := runSteady(cfg, memo, apps)
+// runMemo is RunMemo on validated apps and a built memo handle, stopped
+// with ctx.Err() between units of work (see simulateMemoryShared).
+func runMemo(ctx context.Context, cfg Config, memo *corunMemo, apps []App) ([]Result, error) {
+	steady, err := runSteady(ctx, cfg, memo, apps)
 	if err != nil {
 		return nil, err
 	}
-	return phased(cfg, apps, steady, func(sub []App) ([]Result, error) {
-		return runSteady(cfg, memo, sub)
+	return phased(ctx, cfg, apps, steady, func(sub []App) ([]Result, error) {
+		return runSteady(ctx, cfg, memo, sub)
 	})
 }
 
@@ -233,13 +235,17 @@ func runMemo(cfg Config, memo *corunMemo, apps []App) ([]Result, error) {
 // full set's steady state, re-evaluating the survivors after each
 // departure with steadyFn: exact replay for RunMemo, the closed forms for
 // the analytic tier. Reported times are completion times; the rates and
-// memory statistics are the full-contention steady state's.
-func phased(cfg Config, apps []App, steady []Result, steadyFn func(sub []App) ([]Result, error)) ([]Result, error) {
+// memory statistics are the full-contention steady state's. Each
+// departure checks ctx before evaluating the survivors.
+func phased(ctx context.Context, cfg Config, apps []App, steady []Result, steadyFn func(sub []App) ([]Result, error)) ([]Result, error) {
 	if len(apps) == 1 {
 		return steady, nil
 	}
 	sub := make([]App, 0, len(apps))
 	done, err := phasesum.Departures(steady, resultTime, func(active []int) ([]Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		sub = sub[:0]
 		for _, ai := range active {
 			sub = append(sub, apps[ai])
@@ -287,8 +293,8 @@ func validateApps(cfg Config, apps []App) error {
 // runSteady computes per-app times assuming all apps stay co-resident.
 // mem is treated as read-only here: for memoized single-app runs it aliases
 // an immutable cache entry.
-func runSteady(cfg Config, memo *corunMemo, apps []App) ([]Result, error) {
-	mem, llcStats, err := simulateMemory(cfg, memo, apps)
+func runSteady(ctx context.Context, cfg Config, memo *corunMemo, apps []App) ([]Result, error) {
+	mem, llcStats, err := simulateMemory(ctx, cfg, memo, apps)
 	if err != nil {
 		return nil, err
 	}
@@ -444,7 +450,7 @@ func PhaseBreakdown(cfg Config, apps []App, app int) ([]PhaseTiming, error) {
 	if app < 0 || app >= len(apps) {
 		return nil, fmt.Errorf("cpusim: app %d out of range", app)
 	}
-	mem, _, err := simulateMemory(cfg, nil, apps)
+	mem, _, err := simulateMemory(context.Background(), cfg, nil, apps)
 	if err != nil {
 		return nil, err
 	}
@@ -666,10 +672,18 @@ func privateReplay(cfg Config, w *trace.Workload, ai int, l1, l2 *memsim.Cache, 
 // reuse memoized private phases, replaying only the LLC-bound streams
 // through the genuinely shared LLC. Outputs are bit-identical to the cold
 // path at every budget.
-func simulateMemory(cfg Config, memo *corunMemo, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
+//
+// ctx is checked before the isolated-run lookup and between the units of
+// simulateMemoryShared. A memoized computation is never cancelled: its
+// result is shared with every waiter, so the isolated run computes under
+// context.Background once started.
+func simulateMemory(ctx context.Context, cfg Config, memo *corunMemo, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
 	if memo != nil && len(apps) == 1 {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		v, err := memo.get(memoDomainIso, apps[0].Workload, 0, func() (any, int64, error) {
-			mem, stats, err := simulateMemoryShared(cfg, memo, apps)
+			mem, stats, err := simulateMemoryShared(context.Background(), cfg, memo, apps)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -682,12 +696,13 @@ func simulateMemory(cfg Config, memo *corunMemo, apps []App) ([][]phaseMem, []me
 		ir := v.(isoResult)
 		return ir.mem, ir.stats, nil
 	}
-	return simulateMemoryShared(cfg, memo, apps)
+	return simulateMemoryShared(ctx, cfg, memo, apps)
 }
 
 // simulateMemoryShared is the full memory simulation: private phases (memo
-// hits or cold replays) followed by the shared-LLC interleave.
-func simulateMemoryShared(cfg Config, memo *corunMemo, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
+// hits or cold replays) followed by the shared-LLC interleave. It returns
+// ctx.Err() before each app's private replay and before the interleave.
+func simulateMemoryShared(ctx context.Context, cfg Config, memo *corunMemo, apps []App) ([][]phaseMem, []memsim.CacheStats, error) {
 	llc, err := memsim.NewCache("llc", cfg.LLCytes, cfg.LLCWays, len(apps))
 	if err != nil {
 		return nil, nil, err
@@ -750,6 +765,9 @@ func simulateMemoryShared(cfg Config, memo *corunMemo, apps []App) ([][]phaseMem
 	ends := make([][]int, len(apps))
 	off := 0
 	for ai := range apps {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
 		w := apps[ai].Workload
 		if memo != nil {
 			ai := ai // capture per-iteration for the compute closure
@@ -799,6 +817,9 @@ func simulateMemoryShared(cfg Config, memo *corunMemo, apps []App) ([][]phaseMem
 	// observes from concurrent clients. Phase attribution follows the
 	// cursor through the phase-contiguous bound list (ends[ai][p] is the
 	// first index past phase p), replacing the per-reference phase tag.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	idx := make([]int, len(apps))
 	ph := make([]int, len(apps))
 	remaining := 0

@@ -1,6 +1,7 @@
 package cpusim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -42,7 +43,7 @@ func zeroRefWorkload(name string) *trace.Workload {
 func TestZeroRefPhaseMissRatesAreZero(t *testing.T) {
 	cfg := DefaultConfig()
 	apps := []App{{Workload: zeroRefWorkload("zref"), Threads: 4}}
-	mem, _, err := simulateMemory(cfg, nil, apps)
+	mem, _, err := simulateMemory(context.Background(), cfg, nil, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSimulateMemoryScratchReuse(t *testing.T) {
 		stats interface{}
 	}
 	measure := func(apps []App) out {
-		mem, stats, err := simulateMemory(cfg, nil, apps)
+		mem, stats, err := simulateMemory(context.Background(), cfg, nil, apps)
 		if err != nil {
 			t.Fatal(err)
 		}

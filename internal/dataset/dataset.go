@@ -479,7 +479,11 @@ type bagMember struct {
 // members measures the identical canonical sequence. For 2-member bags
 // this reduces exactly to the legacy pair swap (swap iff the second
 // member's CPU time is strictly larger), pinned by the golden hashes.
-func (g *Generator) measureBag(bag []Member) ([]bagMember, error) {
+//
+// ctx is checked before each member measurement. A measurement once
+// started runs to completion under its sync.Once, so the member memo
+// never holds a context error.
+func (g *Generator) measureBag(ctx context.Context, bag []Member) ([]bagMember, error) {
 	if len(bag) < 2 {
 		return nil, fmt.Errorf("dataset: bag of %d member(s); bags carry at least 2 applications", len(bag))
 	}
@@ -488,6 +492,9 @@ func (g *Generator) measureBag(bag []Member) ([]bagMember, error) {
 	}
 	ms := make([]bagMember, len(bag))
 	for i, m := range bag {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		mm, err := g.measure(m)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: %v: %w", m, err)
@@ -523,7 +530,7 @@ func bagLabel(ms []bagMember) string {
 // tier fid. Only the shared co-run switches tier: the isolated
 // measurements (already memoized per member) stay exact, which is what
 // anchors the analytic model.
-func (g *Generator) sharedCPU(ms []bagMember, fid phasesum.Fidelity) ([]cpusim.Result, error) {
+func (g *Generator) sharedCPU(ctx context.Context, ms []bagMember, fid phasesum.Fidelity) ([]cpusim.Result, error) {
 	// The cached workloads are passed directly: the simulators are
 	// read-only on their inputs (contract documented on cpusim.App and
 	// gpusim.Run, enforced by the mutation-guard tests), so per-point
@@ -532,7 +539,7 @@ func (g *Generator) sharedCPU(ms []bagMember, fid phasesum.Fidelity) ([]cpusim.R
 	for i := range ms {
 		apps[i] = cpusim.App{Workload: ms[i].mm.workload, Threads: g.cfg.Threads}
 	}
-	res, kind, err := cpusim.RunMemoFidelity(g.cfg.CPU, g.memo, apps, fid)
+	res, kind, err := cpusim.RunMemoFidelityContext(ctx, g.cfg.CPU, g.memo, apps, fid)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: shared CPU run %s: %w", bagLabel(ms), err)
 	}
@@ -543,12 +550,12 @@ func (g *Generator) sharedCPU(ms []bagMember, fid phasesum.Fidelity) ([]cpusim.R
 // bagTime runs the co-scheduled GPU simulation over the canonical bag at
 // the configured tier and share profile and returns its bag time, the
 // corpus label.
-func (g *Generator) bagTime(ms []bagMember) (float64, error) {
+func (g *Generator) bagTime(ctx context.Context, ms []bagMember) (float64, error) {
 	workloads := make([]*trace.Workload, len(ms))
 	for i := range ms {
 		workloads[i] = ms[i].mm.workload
 	}
-	res, kind, err := gpusim.RunMemoSharesFidelity(g.cfg.GPU, g.memo, workloads, g.cfg.Shares, g.cfg.Fidelity)
+	res, kind, err := gpusim.RunMemoSharesFidelityContext(ctx, g.cfg.GPU, g.memo, workloads, g.cfg.Shares, g.cfg.Fidelity)
 	if err != nil {
 		return 0, fmt.Errorf("dataset: shared GPU run %s: %w", bagLabel(ms), err)
 	}
@@ -558,8 +565,8 @@ func (g *Generator) bagTime(ms []bagMember) (float64, error) {
 
 // bagFairness reduces the bag's shared CPU co-run at tier fid to the
 // fairness metric (Equation 2), capped at 1.
-func (g *Generator) bagFairness(ms []bagMember, fid phasesum.Fidelity) (float64, error) {
-	cpuShared, err := g.sharedCPU(ms, fid)
+func (g *Generator) bagFairness(ctx context.Context, ms []bagMember, fid phasesum.Fidelity) (float64, error) {
+	cpuShared, err := g.sharedCPU(ctx, ms, fid)
 	if err != nil {
 		return 0, err
 	}
@@ -599,23 +606,26 @@ func bagApps(ms []bagMember) []features.App {
 // apply features.ScaleTimes with the training corpus's divisor before
 // passing it to a trained model.
 func (g *Generator) BagFeatures(bag []Member) (x []float64, fairness float64, err error) {
-	return g.BagFeaturesFidelity(bag, g.cfg.Fidelity)
+	return g.BagFeaturesFidelity(context.Background(), bag, g.cfg.Fidelity)
 }
 
-// BagFeaturesFidelity is BagFeatures at tier fid: serve's brownout path
-// answers from the fast analytic tier on a generator configured for exact
-// simulation, without touching the generator's configured fidelity (or
-// any other caller's view of it). Isolated per-member measurements are
-// shared across tiers — only the contended co-run switches.
-func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x []float64, fairness float64, err error) {
+// BagFeaturesFidelity is BagFeatures at tier fid, stopped by ctx: serve's
+// brownout path answers from the fast analytic tier on a generator
+// configured for exact simulation, without touching the generator's
+// configured fidelity (or any other caller's view of it). Isolated
+// per-member measurements are shared across tiers — only the contended
+// co-run switches. Once ctx ends the call returns an error wrapping
+// ctx.Err() within one unit of work: one member measurement or one
+// steady-state evaluation of the co-run.
+func (g *Generator) BagFeaturesFidelity(ctx context.Context, bag []Member, fid phasesum.Fidelity) (x []float64, fairness float64, err error) {
 	if !fid.Valid() {
 		return nil, 0, fmt.Errorf("dataset: unknown fidelity %q (want exact, mixed or fast)", string(fid))
 	}
-	ms, err := g.measureBag(bag)
+	ms, err := g.measureBag(ctx, bag)
 	if err != nil {
 		return nil, 0, err
 	}
-	fairness, err = g.bagFairness(ms, fid)
+	fairness, err = g.bagFairness(ctx, ms, fid)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -632,19 +642,25 @@ func (g *Generator) BagFeaturesFidelity(bag []Member, fid phasesum.Fidelity) (x 
 // time) so the replicated per-app feature blocks are comparable across data
 // points.
 func (g *Generator) MeasureBag(bag []Member) (Point, error) {
-	ms, err := g.measureBag(bag)
+	return g.measurePoint(context.Background(), bag)
+}
+
+// measurePoint is MeasureBag stopped by ctx, like BagFeaturesFidelity: the
+// per-point path of generate.
+func (g *Generator) measurePoint(ctx context.Context, bag []Member) (Point, error) {
+	ms, err := g.measureBag(ctx, bag)
 	if err != nil {
 		return Point{}, err
 	}
 
 	// Shared CPU run → fairness (Equation 2).
-	fairness, err := g.bagFairness(ms, g.cfg.Fidelity)
+	fairness, err := g.bagFairness(ctx, ms, g.cfg.Fidelity)
 	if err != nil {
 		return Point{}, err
 	}
 
 	// Shared GPU run → the target bag time.
-	y, err := g.bagTime(ms)
+	y, err := g.bagTime(ctx, ms)
 	if err != nil {
 		return Point{}, err
 	}
@@ -826,11 +842,13 @@ func (g *Generator) Generate() (*Corpus, error) {
 // Resume builds the corpus crash-safely against journal j: bags already
 // journaled are restored without re-measurement, every freshly measured
 // point is durably appended before the run moves on, and cancelling ctx
-// (SIGINT/SIGTERM in mapc-datagen) stops the pool claiming new bags while
-// in-flight measurements finish and commit. Because each point is a pure
-// function of (Config, bag), an interrupted-and-resumed corpus is
-// bit-for-bit identical — same SHA-256 — to an uninterrupted run at any
-// worker count. The caller owns j (Commit/Close).
+// (SIGINT/SIGTERM in mapc-datagen) stops the pool claiming new bags and
+// stops each in-flight bag within one unit of work (one member
+// measurement or one steady-state evaluation); the error wraps ctx.Err()
+// and points completed before the cancel stay journaled. Because each
+// point is a pure function of (Config, bag), an interrupted-and-resumed
+// corpus is bit-for-bit identical — same SHA-256 — to an uninterrupted
+// run at any worker count. The caller owns j (Commit/Close).
 func (g *Generator) Resume(ctx context.Context, j *Journal) (*Corpus, error) {
 	if j == nil {
 		return nil, errors.New("dataset: Resume requires a journal (use Generate for unjournaled runs)")
@@ -864,7 +882,7 @@ func (g *Generator) generate(ctx context.Context, j *Journal) (*Corpus, error) {
 		if err := faultinject.Fire(g.fault, FaultSitePoint, i); err != nil {
 			return err
 		}
-		p, err := g.MeasureBag(bags[i])
+		p, err := g.measurePoint(ctx, bags[i])
 		if err != nil {
 			return err
 		}

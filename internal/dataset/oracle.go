@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -41,11 +42,12 @@ func (r OracleReport) Within(maxErr float64) bool {
 // configured fidelity: the shared CPU run's makespan and the shared GPU
 // run's bag time.
 func (g *Generator) bagTargets(bag []Member) (cpuMakespan, gpuBagTime float64, err error) {
-	ms, err := g.measureBag(bag)
+	ctx := context.Background()
+	ms, err := g.measureBag(ctx, bag)
 	if err != nil {
 		return 0, 0, err
 	}
-	cpuShared, err := g.sharedCPU(ms, g.cfg.Fidelity)
+	cpuShared, err := g.sharedCPU(ctx, ms, g.cfg.Fidelity)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -57,7 +59,7 @@ func (g *Generator) bagTargets(bag []Member) (cpuMakespan, gpuBagTime float64, e
 	// The generation share vector rides along (g.cfg.Shares): the exact
 	// twin inherits it through the copied config, so skewed corpora are
 	// scored against the matching exact co-run, not the equal split.
-	gpuBagTime, err = g.bagTime(ms)
+	gpuBagTime, err = g.bagTime(ctx, ms)
 	return cpuMakespan, gpuBagTime, err
 }
 

@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"context"
+
 	"mapc/internal/memsim"
 	"mapc/internal/phasesum"
 	"mapc/internal/simcache"
@@ -67,10 +69,11 @@ func streamSummaryFor(memo *corunMemo, w *trace.Workload, ai int) (phasesum.Summ
 // isolated anchors (memo hits), closed-form shared-L2 and shared-TLB miss
 // estimates, then the identical timing tail. Returns the model's gate
 // (combined confidence plus the would-be fallback reason); an isolated
-// client is computed exactly (confidence 1).
-func runSteadyAnalytic(cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, phasesum.Gate, error) {
+// client is computed exactly (confidence 1). ctx is checked before each
+// client's stream summary.
+func runSteadyAnalytic(ctx context.Context, cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, phasesum.Gate, error) {
 	if len(workloads) == 1 {
-		res, err := runSteady(cfg, memo, workloads, shares)
+		res, err := runSteady(ctx, cfg, memo, workloads, shares)
 		return res, phasesum.Gate{Conf: 1}, err
 	}
 	n := len(workloads)
@@ -79,6 +82,9 @@ func runSteadyAnalytic(cfg Config, memo *corunMemo, workloads []*trace.Workload,
 	rates := make([]int, n)
 	isoMems := make([][]phaseMem, n)
 	for ai, w := range workloads {
+		if err := ctx.Err(); err != nil {
+			return nil, phasesum.Gate{}, err
+		}
 		sum, err := streamSummaryFor(memo, w, ai)
 		if err != nil {
 			return nil, phasesum.Gate{}, err
@@ -90,7 +96,7 @@ func runSteadyAnalytic(cfg Config, memo *corunMemo, workloads []*trace.Workload,
 		// model predicts contention's *delta* on top of it. Slot-0
 		// streams differ from slot-ai ones only in seed/base, so the
 		// anchor transfers; the residual is what the oracle bounds.
-		isoMem, _, _, err := simulateMemory(cfg, memo, []*trace.Workload{w})
+		isoMem, _, _, err := simulateMemory(ctx, cfg, memo, []*trace.Workload{w})
 		if err != nil {
 			return nil, phasesum.Gate{}, err
 		}
@@ -185,16 +191,26 @@ func runSteadyAnalytic(cfg Config, memo *corunMemo, workloads []*trace.Workload,
 // construction). The returned RunKind reports which simulator answered
 // and, for mixed-tier fallbacks, which gate bounced the run.
 func RunMemoSharesFidelity(cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
+	return RunMemoSharesFidelityContext(context.Background(), cfg, memo, workloads, shares, fid)
+}
+
+// RunMemoSharesFidelityContext is RunMemoSharesFidelity stopped by ctx:
+// between units of work — each client's stream, the shared TLB/L2
+// interleave, each departure of the phased schedule — it returns
+// ctx.Err() unwrapped. Memoized computations already started run to
+// completion, so a cancelled call publishes only whole, correct memo
+// entries.
+func RunMemoSharesFidelityContext(ctx context.Context, cfg Config, memo *simcache.Cache, workloads []*trace.Workload, shares []float64, fid phasesum.Fidelity) ([]Result, phasesum.RunKind, error) {
 	if err := validateRun(cfg, workloads, shares); err != nil {
 		return nil, phasesum.RunKind{}, err
 	}
 	m := newCorunMemo(memo, cfg, workloads)
 	return phasesum.CoRun(fid, len(workloads),
-		func() ([]Result, error) { return runMemoShares(cfg, m, workloads, shares) },
-		func() ([]Result, phasesum.Gate, error) { return runSteadyAnalytic(cfg, m, workloads, shares) },
+		func() ([]Result, error) { return runMemoShares(ctx, cfg, m, workloads, shares) },
+		func() ([]Result, phasesum.Gate, error) { return runSteadyAnalytic(ctx, cfg, m, workloads, shares) },
 		func(steady []Result) ([]Result, error) {
-			return phased(cfg, workloads, shares, steady, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
-				r, _, err := runSteadyAnalytic(cfg, m, sub, subShares)
+			return phased(ctx, cfg, workloads, shares, steady, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
+				r, _, err := runSteadyAnalytic(ctx, cfg, m, sub, subShares)
 				return r, err
 			})
 		})

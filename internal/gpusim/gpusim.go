@@ -21,6 +21,7 @@
 package gpusim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -242,18 +243,19 @@ func RunMemoShares(cfg Config, memo *simcache.Cache, workloads []*trace.Workload
 	if err := validateRun(cfg, workloads, shares); err != nil {
 		return nil, err
 	}
-	return runMemoShares(cfg, newCorunMemo(memo, cfg, workloads), workloads, shares)
+	return runMemoShares(context.Background(), cfg, newCorunMemo(memo, cfg, workloads), workloads, shares)
 }
 
 // runMemoShares is RunMemoShares on a validated run and a built memo
-// handle.
-func runMemoShares(cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, error) {
-	steady, err := runSteady(cfg, memo, workloads, shares)
+// handle, stopped with ctx.Err() between units of work (see
+// simulateMemoryShared).
+func runMemoShares(ctx context.Context, cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, error) {
+	steady, err := runSteady(ctx, cfg, memo, workloads, shares)
 	if err != nil {
 		return nil, err
 	}
-	return phased(cfg, workloads, shares, steady, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
-		return runSteady(cfg, memo, sub, subShares)
+	return phased(ctx, cfg, workloads, shares, steady, func(sub []*trace.Workload, subShares []float64) ([]Result, error) {
+		return runSteady(ctx, cfg, memo, sub, subShares)
 	})
 }
 
@@ -293,8 +295,9 @@ func validateRun(cfg Config, workloads []*trace.Workload, shares []float64) erro
 // set): exact replay for RunMemoShares, the closed forms for the analytic
 // tier. Reported times are completion times; the rates and memory
 // statistics are the full-contention period's (the shared-run counters a
-// profiler attached to the co-run window would read).
-func phased(cfg Config, workloads []*trace.Workload, shares []float64, steady []Result, steadyFn func(sub []*trace.Workload, subShares []float64) ([]Result, error)) ([]Result, error) {
+// profiler attached to the co-run window would read). Each departure
+// checks ctx before evaluating the survivors.
+func phased(ctx context.Context, cfg Config, workloads []*trace.Workload, shares []float64, steady []Result, steadyFn func(sub []*trace.Workload, subShares []float64) ([]Result, error)) ([]Result, error) {
 	if len(workloads) == 1 {
 		return steady, nil
 	}
@@ -304,6 +307,9 @@ func phased(cfg Config, workloads []*trace.Workload, shares []float64, steady []
 		subShares = make([]float64, 0, len(shares))
 	}
 	done, err := phasesum.Departures(steady, resultTime, func(active []int) ([]Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		sub = sub[:0]
 		for _, ai := range active {
 			sub = append(sub, workloads[ai])
@@ -337,8 +343,8 @@ func resultTime(r *Result) float64 { return r.TimeSec }
 // stays resident for the whole run. A nil shares slice is the equal MPS
 // split (the exact legacy SMs/n computation); otherwise each client gets
 // SMs scaled by its normalized weight.
-func runSteady(cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, error) {
-	mem, l2Stats, tlbStats, err := simulateMemory(cfg, memo, workloads)
+func runSteady(ctx context.Context, cfg Config, memo *corunMemo, workloads []*trace.Workload, shares []float64) ([]Result, error) {
+	mem, l2Stats, tlbStats, err := simulateMemory(ctx, cfg, memo, workloads)
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +472,7 @@ func PhaseBreakdown(cfg Config, workloads []*trace.Workload, client int) ([]Phas
 			return nil, fmt.Errorf("gpusim: workload %d: %w", i, err)
 		}
 	}
-	mem, _, _, err := simulateMemory(cfg, nil, workloads)
+	mem, _, _, err := simulateMemory(context.Background(), cfg, nil, workloads)
 	if err != nil {
 		return nil, err
 	}
@@ -769,10 +775,18 @@ func materializeStream(w *trace.Workload, ai int, addrs []uint64) (streamEntry, 
 // isolated-run memo and multi-client calls reuse memoized streams,
 // replaying only the genuinely shared TLB/L2 interleave. Outputs are
 // bit-identical to the cold path at every budget.
-func simulateMemory(cfg Config, memo *corunMemo, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
+//
+// ctx is checked before the isolated-run lookup and between the units of
+// simulateMemoryShared. A memoized computation is never cancelled: its
+// result is shared with every waiter, so the isolated run computes under
+// context.Background once started.
+func simulateMemory(ctx context.Context, cfg Config, memo *corunMemo, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
 	if memo != nil && len(workloads) == 1 {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, err
+		}
 		v, err := memo.get(memoDomainIso, workloads[0], 0, func() (any, int64, error) {
-			mem, l2s, tlbs, err := simulateMemoryShared(cfg, memo, workloads)
+			mem, l2s, tlbs, err := simulateMemoryShared(context.Background(), cfg, memo, workloads)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -785,13 +799,14 @@ func simulateMemory(cfg Config, memo *corunMemo, workloads []*trace.Workload) ([
 		ir := v.(isoResult)
 		return ir.mem, ir.l2Stats, ir.tlbStats, nil
 	}
-	return simulateMemoryShared(cfg, memo, workloads)
+	return simulateMemoryShared(ctx, cfg, memo, workloads)
 }
 
 // simulateMemoryShared is the full memory simulation: stream
 // materialization (memo hits or cold fills) followed by the shared TLB/L2
-// interleave.
-func simulateMemoryShared(cfg Config, memo *corunMemo, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
+// interleave. It returns ctx.Err() before each client's stream and before
+// the interleave.
+func simulateMemoryShared(ctx context.Context, cfg Config, memo *corunMemo, workloads []*trace.Workload) ([][]phaseMem, []memsim.CacheStats, []memsim.CacheStats, error) {
 	n := len(workloads)
 	l2, err := memsim.NewCache("gpul2", cfg.L2Bytes, cfg.L2Ways, n)
 	if err != nil {
@@ -828,6 +843,9 @@ func simulateMemoryShared(cfg Config, memo *corunMemo, workloads []*trace.Worklo
 	streams := make([][]uint64, n)
 	ends := make([][]int, n)
 	for ai, w := range workloads {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, err
+		}
 		if memo != nil {
 			w, ai := w, ai // capture per-iteration for the compute closure
 			v, err := memo.get(memoDomainStream, w, ai, func() (any, int64, error) {
@@ -862,6 +880,9 @@ func simulateMemoryShared(cfg Config, memo *corunMemo, workloads []*trace.Worklo
 	// shared TLB then the shared L2. Phase attribution follows the cursor
 	// through the phase-contiguous stream (ends[ai][p] is the first index
 	// past phase p), replacing the per-reference phase tag.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, nil, err
+	}
 	idx := make([]int, n)
 	ph := make([]int, n)
 	maxLen := 0

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ func TestSimulateMemoryScratchReuse(t *testing.T) {
 		l2, tlbs interface{}
 	}
 	measure := func(ws []*trace.Workload) out {
-		mem, l2, tlbs, err := simulateMemory(cfg, nil, ws)
+		mem, l2, tlbs, err := simulateMemory(context.Background(), cfg, nil, ws)
 		if err != nil {
 			t.Fatal(err)
 		}

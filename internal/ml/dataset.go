@@ -129,39 +129,3 @@ func (d *Dataset) Split(testFraction float64, seed uint64) (train, test *Dataset
 	}
 	return d.Subset(perm[nTest:]), d.Subset(perm[:nTest]), nil
 }
-
-// GroupNames returns the distinct group labels in first-appearance order.
-func (d *Dataset) GroupNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, g := range d.Groups {
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
-		}
-	}
-	return out
-}
-
-// SplitByGroup returns the subsets excluding and containing group g —
-// the grouped leave-one-out split of Figure 4.
-func (d *Dataset) SplitByGroup(g string) (rest, held *Dataset, err error) {
-	if d.Groups == nil {
-		return nil, nil, errors.New("ml: dataset has no group labels")
-	}
-	var restIdx, heldIdx []int
-	for i, gi := range d.Groups {
-		if gi == g {
-			heldIdx = append(heldIdx, i)
-		} else {
-			restIdx = append(restIdx, i)
-		}
-	}
-	if len(heldIdx) == 0 {
-		return nil, nil, fmt.Errorf("ml: no points in group %q", g)
-	}
-	if len(restIdx) == 0 {
-		return nil, nil, fmt.Errorf("ml: group %q is the entire dataset", g)
-	}
-	return d.Subset(restIdx), d.Subset(heldIdx), nil
-}

@@ -96,33 +96,3 @@ func TestSplit(t *testing.T) {
 		t.Error("fraction 1 accepted")
 	}
 }
-
-func TestGroupNames(t *testing.T) {
-	got := groupedDataset().GroupNames()
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("GroupNames = %v", got)
-	}
-}
-
-func TestSplitByGroup(t *testing.T) {
-	d := groupedDataset()
-	rest, held, err := d.SplitByGroup("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if held.Len() != 2 || rest.Len() != 4 {
-		t.Fatalf("split sizes rest=%d held=%d", rest.Len(), held.Len())
-	}
-	for _, g := range held.Groups {
-		if g != "b" {
-			t.Errorf("held group %q", g)
-		}
-	}
-	if _, _, err := d.SplitByGroup("zzz"); err == nil {
-		t.Error("unknown group accepted")
-	}
-	ungrouped := &Dataset{X: [][]float64{{1}}, Y: []float64{1}}
-	if _, _, err := ungrouped.SplitByGroup("a"); err == nil {
-		t.Error("ungrouped dataset accepted")
-	}
-}

@@ -15,16 +15,6 @@ func TestMSE(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	got, err := MAE([]float64{1, 2, 3}, []float64{2, 2, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 1 {
-		t.Fatalf("MAE = %v", got)
-	}
-}
-
 func TestRelativeErrors(t *testing.T) {
 	errs, err := RelativeErrors([]float64{10, 20}, []float64{11, 15})
 	if err != nil {
@@ -54,9 +44,6 @@ func TestMetricErrors(t *testing.T) {
 	}
 	if _, err := MSE([]float64{1}, []float64{1, 2}); err == nil {
 		t.Error("mismatched lengths accepted")
-	}
-	if _, err := MAE([]float64{1}, []float64{}); err == nil {
-		t.Error("mismatched MAE accepted")
 	}
 }
 

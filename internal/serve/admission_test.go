@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -15,59 +16,69 @@ import (
 	"mapc/internal/phasesum"
 )
 
-// TestAdmissionBoundsBackgroundWork is the regression test for the
-// admission-control leak: servePredict used to release its in-flight slot
-// when the handler returned — including the 504 path — while the
-// measurement goroutine kept simulating in the background, so a burst of
-// slow bags grew actual concurrent computes far past MaxInFlight. Pre-fix
-// this test observes up to `burst` concurrent computes; post-fix the slot
-// is held until the measurement finishes and concurrency never exceeds
-// MaxInFlight, with the overflow shed as 503s.
+// TestAdmissionBoundsBackgroundWork pins the admission bound under a
+// concurrent burst of slow bags: MaxInFlight+8 distinct requests whose
+// simulation outlives the deadline arrive at once. Actual concurrent
+// computes never exceed MaxInFlight, the overflow is shed with 503 before
+// any work starts, and the admitted requests answer 504. The deadline
+// cancels each admitted simulation, so every slot is free by the time its
+// handler has returned — no background work outlives the burst.
 func TestAdmissionBoundsBackgroundWork(t *testing.T) {
 	const maxInFlight = 2
-	const burst = 10
+	const burst = maxInFlight + 8
 	s := newTestServer(t, func(c *Config) {
 		c.MaxInFlight = maxInFlight
-		c.RequestTimeout = 25 * time.Millisecond
+		c.RequestTimeout = 250 * time.Millisecond
 		c.Workers = 1
 	})
 	width := s.cfg.Model.NumFeatures()
 
 	var cur, peak atomic.Int64
 	block := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
 		v := cur.Add(1)
+		defer cur.Add(-1)
 		for {
 			p := peak.Load()
 			if v <= p || peak.CompareAndSwap(p, v) {
 				break
 			}
 		}
-		<-block // a slow simulation that outlives the request deadline
-		cur.Add(-1)
-		x := make([]float64, width)
-		return x, 0.5, false, nil
+		// A slow simulation that outlives the request deadline and stops
+		// only when its context ends.
+		select {
+		case <-block:
+			return make([]float64, width), 0.5, false, nil
+		case <-ctx.Done():
+			return nil, 0, false, ctx.Err()
+		}
 	}
 	h := s.Handler()
 
-	// Sequential burst of distinct slow bags (distinct so the feature
-	// cache's singleflight cannot collapse them into one compute). Each
-	// admitted request times out at 25ms with a 504 while its simulation
-	// keeps running; once MaxInFlight simulations are stuck, the rest of
-	// the burst must be shed with 503 *before* starting more work.
+	// Distinct bags, so the feature cache's singleflight cannot collapse
+	// them into one compute; a start barrier makes the burst concurrent.
 	var got504, got503 atomic.Int64
+	start := make(chan struct{})
+	var wg sync.WaitGroup
 	for i := 0; i < burst; i++ {
-		body := fmt.Sprintf(`{"bag":[{"benchmark":"sift","batch":%d},{"benchmark":"surf","batch":%d}]}`, i+1, i+1)
-		rr := doJSON(t, h, http.MethodPost, "/v1/predict", body)
-		switch rr.Code {
-		case http.StatusGatewayTimeout:
-			got504.Add(1)
-		case http.StatusServiceUnavailable:
-			got503.Add(1)
-		default:
-			t.Fatalf("request %d: unexpected status %d: %s", i, rr.Code, rr.Body)
-		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			body := fmt.Sprintf(`{"bag":[{"benchmark":"sift","batch":%d},{"benchmark":"surf","batch":%d}]}`, i+1, i+1)
+			rr := doJSON(t, h, http.MethodPost, "/v1/predict", body)
+			switch rr.Code {
+			case http.StatusGatewayTimeout:
+				got504.Add(1)
+			case http.StatusServiceUnavailable:
+				got503.Add(1)
+			default:
+				t.Errorf("request %d: unexpected status %d: %s", i, rr.Code, rr.Body)
+			}
+		}(i)
 	}
+	close(start)
+	wg.Wait()
 
 	if p := peak.Load(); p > maxInFlight {
 		t.Fatalf("admission leak: %d concurrent computes with MaxInFlight=%d", p, maxInFlight)
@@ -79,14 +90,19 @@ func TestAdmissionBoundsBackgroundWork(t *testing.T) {
 		t.Errorf("no request timed out; the fixture did not exercise the slow path")
 	}
 
-	// Releasing the stuck simulations frees the slots: the server accepts
-	// and completes new work.
+	// Every handler has returned, so every slot and every compute is
+	// already gone: nothing to wait for.
+	if n := s.Metrics().InFlight(); n != 0 {
+		t.Fatalf("%d slots still held after every handler returned", n)
+	}
+	if n := cur.Load(); n != 0 {
+		t.Fatalf("%d computes still running after every handler returned", n)
+	}
 	close(block)
-	waitFor(t, func() bool { return s.Metrics().InFlight() == 0 })
 	rr := doJSON(t, h, http.MethodPost, "/v1/predict",
 		`{"bag":[{"benchmark":"sift","batch":999},{"benchmark":"surf","batch":999}]}`)
 	if rr.Code != http.StatusOK {
-		t.Fatalf("request after drain answered %d: %s", rr.Code, rr.Body)
+		t.Fatalf("request after the burst answered %d: %s", rr.Code, rr.Body)
 	}
 }
 
@@ -134,10 +150,14 @@ func TestCachedFieldOnlyForPublishedEntries(t *testing.T) {
 	release := make(chan struct{})
 	var computes atomic.Int64
 	var entryOnce sync.Once
-	s.cache.compute = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+	s.cache.compute = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		computes.Add(1)
 		entryOnce.Do(func() { close(firstEntered) })
-		<-release
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, 0, ctx.Err()
+		}
 		x := make([]float64, width)
 		for i := range x {
 			x[i] = 0.5
@@ -218,7 +238,7 @@ func TestCachedFieldOnlyForPublishedEntries(t *testing.T) {
 func TestFeatureCacheStaysBounded(t *testing.T) {
 	const budget = 32 << 10 // 32 KiB: a few hundred entries at pair width
 	var computes atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		computes.Add(1)
 		x := make([]float64, 21)
 		for i := range x {
@@ -243,7 +263,7 @@ func TestFeatureCacheStaysBounded(t *testing.T) {
 			{Benchmark: benchmarks[rng.Intn(len(benchmarks))], Batch: batch},
 			{Benchmark: benchmarks[rng.Intn(len(benchmarks))], Batch: 20},
 		}
-		if _, _, _, err := c.get(bag, phasesum.Exact); err != nil {
+		if _, _, _, err := c.get(context.Background(), bag, phasesum.Exact); err != nil {
 			t.Fatal(err)
 		}
 		if st := c.Stats(); st.Bytes > budget {
@@ -270,7 +290,7 @@ func TestFeatureCacheStaysBounded(t *testing.T) {
 func TestMetricsExposeFeatureCacheEvictions(t *testing.T) {
 	s := newTestServer(t, nil)
 	// Swap in a 2 KiB cache so a handful of distinct bags forces eviction.
-	s.cache = newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+	s.cache = newStubFeatureCache(func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		return make([]float64, 21), 0.5, nil
 	}, true, 2<<10)
 	s.metrics.SetFeatureCacheSource(s.cache.Stats)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,8 +16,9 @@ import (
 )
 
 // brownoutServer builds a server with brownout enabled and both fidelity
-// paths stubbed: exact computes block on `block` (so tests control
-// in-flight pressure), degraded computes answer immediately. Counters
+// paths stubbed: exact computes block on `block` or until their request's
+// context ends (so tests control in-flight pressure), degraded computes
+// answer immediately. Counters
 // record how many times each path ran.
 func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan struct{}, exactN, fastN *atomic.Int64) {
 	t.Helper()
@@ -30,11 +32,15 @@ func brownoutServer(t *testing.T, mut func(*Config)) (s *Server, block chan stru
 	width := s.cfg.Model.NumFeatures()
 	block = make(chan struct{})
 	exactN, fastN = new(atomic.Int64), new(atomic.Int64)
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
 		if fid != phasesum.Fast {
 			exactN.Add(1)
-			<-block
-			return make([]float64, width), 0.5, false, nil
+			select {
+			case <-block:
+				return make([]float64, width), 0.5, false, nil
+			case <-ctx.Done():
+				return nil, 0, false, ctx.Err()
+			}
 		}
 		fastN.Add(1)
 		x := make([]float64, width)
@@ -168,13 +174,17 @@ func TestBrownoutShedsOnlyWhenBothPoolsFull(t *testing.T) {
 	width := s.cfg.Model.NumFeatures()
 	var fastEntered atomic.Int64
 	exact := s.featuresFn
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
 		if fid != phasesum.Fast {
-			return exact(bag, fid)
+			return exact(ctx, bag, fid)
 		}
 		fastEntered.Add(1)
-		<-block
-		return make([]float64, width), 0.75, false, nil
+		select {
+		case <-block:
+			return make([]float64, width), 0.75, false, nil
+		case <-ctx.Done():
+			return nil, 0, false, ctx.Err()
+		}
 	}
 	h := s.Handler()
 
@@ -291,7 +301,7 @@ func TestBrownoutConfigValidation(t *testing.T) {
 // answers), and snapshot entries carry only the exact tier.
 func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 	var exactN, fastN atomic.Int64
-	c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		if fid == phasesum.Fast {
 			fastN.Add(1)
 			return []float64{9, 9, 9}, 0.9, nil
@@ -301,11 +311,11 @@ func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 	}, true, 1<<20)
 	bag := []dataset.Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "surf", Batch: 20}}
 
-	x, _, hit, err := c.get(bag, phasesum.Exact)
+	x, _, hit, err := c.get(context.Background(), bag, phasesum.Exact)
 	if err != nil || hit || x[0] != 1 {
 		t.Fatalf("exact get: x=%v hit=%v err=%v", x, hit, err)
 	}
-	x, _, hit, err = c.get(bag, phasesum.Fast)
+	x, _, hit, err = c.get(context.Background(), bag, phasesum.Fast)
 	if err != nil || hit || x[0] != 9 {
 		t.Fatalf("degraded get answered x=%v hit=%v err=%v; it must not reuse the exact entry", x, hit, err)
 	}
@@ -313,10 +323,10 @@ func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 		t.Fatalf("computes exact=%d fast=%d, want 1/1", exactN.Load(), fastN.Load())
 	}
 	// Second round hits each tier's own entry.
-	if _, _, hit, _ := c.get(bag, phasesum.Exact); !hit {
+	if _, _, hit, _ := c.get(context.Background(), bag, phasesum.Exact); !hit {
 		t.Error("exact entry not cached")
 	}
-	if _, _, hit, _ := c.get(bag, phasesum.Fast); !hit {
+	if _, _, hit, _ := c.get(context.Background(), bag, phasesum.Fast); !hit {
 		t.Error("degraded entry not cached")
 	}
 	if exactN.Load() != 1 || fastN.Load() != 1 {
@@ -336,13 +346,13 @@ func TestDegradedCacheNamespaceIsolation(t *testing.T) {
 // seam: a cache built without a generator answers degraded requests from
 // the same compute function, asked for the fast tier.
 func TestDegradedFallsBackWithoutFastPath(t *testing.T) {
-	c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+	c := newStubFeatureCache(func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 		if fid != phasesum.Fast {
 			return nil, 0, fmt.Errorf("asked for tier %q, want fast", fid)
 		}
 		return []float64{4}, 0.5, nil
 	}, true, 1<<20)
-	x, _, _, err := c.get([]dataset.Member{{Benchmark: "sift", Batch: 20}}, phasesum.Fast)
+	x, _, _, err := c.get(context.Background(), []dataset.Member{{Benchmark: "sift", Batch: 20}}, phasesum.Fast)
 	if err != nil || x[0] != 4 {
 		t.Fatalf("fallback degraded get: x=%v err=%v", x, err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -71,9 +72,9 @@ func (v *featureValue) sizeBytes(key string) int64 {
 // underneath additionally memoizes each member's isolated runs, so even a
 // miss on a new combination of known members only pays for the shared run.
 type featureCache struct {
-	// compute measures a bag at a fidelity tier; the generator's
-	// BagFeaturesFidelity.
-	compute func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error)
+	// compute measures a bag at a fidelity tier, stopped by ctx; the
+	// generator's BagFeaturesFidelity.
+	compute func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error)
 	// tier is the generator's configured fidelity: the tier ordinary
 	// requests ask for, and the only one peer fill, snapshots and warm
 	// start carry.
@@ -87,7 +88,7 @@ type featureCache struct {
 	// (JSON float64 round-trips exactly), or ok=false to fall through to
 	// the local simulation. It runs inside the singleflight slot, so
 	// concurrent misses on one bag cost one peer probe.
-	fill func(key string) (x []float64, fairness float64, ok bool)
+	fill func(ctx context.Context, key string) (x []float64, fairness float64, ok bool)
 	// shares qualifies every key with the generator's MPS share profile
 	// (dataset Config.SharesLabel; "" for the equal split). Features are
 	// share-independent today, but the share vector is generator state
@@ -117,7 +118,7 @@ func newFeatureCache(gen *dataset.Generator, budgetMB int) *featureCache {
 // newStubFeatureCache is the test constructor: an arbitrary compute
 // function at a configured exact tier and an explicit byte budget, no
 // generator required.
-func newStubFeatureCache(compute func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error), canonical bool, budgetBytes int64) *featureCache {
+func newStubFeatureCache(compute func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error), canonical bool, budgetBytes int64) *featureCache {
 	return &featureCache{compute: compute, tier: phasesum.Exact, canonical: canonical, lru: simcache.MustNew(budgetBytes)}
 }
 
@@ -173,10 +174,12 @@ func (c *featureCache) cacheKey(bagKey string, fid phasesum.Fidelity) simcache.K
 // errored entries, and the next request for the same bag computes fresh —
 // the panicking bag costs exactly one 500 (plus the same error for any
 // waiter that shared the slot).
-func (c *featureCache) get(bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error) {
+// A request whose ctx ends stops alone: its waiters retry under their own
+// contexts (simcache.Lookup), so it never fails a live request.
+func (c *featureCache) get(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error) {
 	k, canon := c.key(bag)
-	v, outcome, err := c.lru.Lookup(c.cacheKey(k, fid), func() (any, int64, error) {
-		fv, err := c.computeValue(k, canon, fid)
+	v, outcome, err := c.lru.Lookup(ctx, c.cacheKey(k, fid), func() (any, int64, error) {
+		fv, err := c.computeValue(ctx, k, canon, fid)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -192,18 +195,18 @@ func (c *featureCache) get(bag []dataset.Member, fid phasesum.Fidelity) (x []flo
 // computeValue runs the miss path — peer fill first (configured tier
 // only: peers publish nothing else), local simulation as the fallback —
 // with panics recovered into *recoveredPanic.
-func (c *featureCache) computeValue(key string, canon []dataset.Member, fid phasesum.Fidelity) (fv *featureValue, err error) {
+func (c *featureCache) computeValue(ctx context.Context, key string, canon []dataset.Member, fid phasesum.Fidelity) (fv *featureValue, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			fv, err = nil, &recoveredPanic{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if c.fill != nil && fid.Effective() == c.tier {
-		if x, fairness, ok := c.fill(key); ok {
+		if x, fairness, ok := c.fill(ctx, key); ok {
 			return &featureValue{x: x, fairness: fairness}, nil
 		}
 	}
-	x, fairness, err := c.compute(canon, fid)
+	x, fairness, err := c.compute(ctx, canon, fid)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -250,7 +251,7 @@ func TestServerConcurrentK3Hammer(t *testing.T) {
 	// Stub the featurizer so the hammer exercises concurrency, not the
 	// simulator; width must match the 3-app model (31 features).
 	width := s.cfg.Model.NumFeatures()
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
 		x := make([]float64, width)
 		for i := range x {
 			x[i] = 0.25

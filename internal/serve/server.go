@@ -16,8 +16,8 @@
 //	GET  /metrics     — Prometheus-style text metrics (stdlib only)
 //
 // Robustness: a bounded in-flight limiter sheds load with 503 before work
-// is admitted, every request carries a deadline (504 on expiry), and
-// Shutdown drains in-flight requests for graceful SIGTERM handling.
+// is admitted, every request carries a deadline (504 on expiry) down to
+// the simulators, and Shutdown drains in-flight requests on SIGTERM.
 // Feature vectors are memoized across requests in a singleflight cache
 // layered on dataset.Generator's per-member memo, so repeated bags skip
 // re-simulation entirely.
@@ -61,6 +61,10 @@ const (
 	// maxBodyBytes bounds request bodies; a MaxBatch bag list is well
 	// under 1 MiB.
 	maxBodyBytes = 1 << 20
+	// cancelWait bounds Shutdown's wait for the requests it cancels past
+	// grace: ample for a simulation to stop, and it cuts off a client that
+	// never finishes sending its body, whose handler no context can stop.
+	cancelWait = 2 * time.Second
 )
 
 // Config configures a prediction server.
@@ -79,8 +83,8 @@ type Config struct {
 	// MaxBatch bounds bags per request (400 beyond it). 0 means
 	// DefaultMaxBatch.
 	MaxBatch int
-	// RequestTimeout is the per-request deadline (504 on expiry). 0 means
-	// DefaultRequestTimeout.
+	// RequestTimeout is the per-request deadline (504 on expiry); it
+	// cancels the request's simulations. 0 means DefaultRequestTimeout.
 	RequestTimeout time.Duration
 	// Workers sizes the per-request measurement fan-out (parallel.ForEach
 	// semantics: 0 = NumCPU, 1 = serial).
@@ -118,9 +122,9 @@ type Server struct {
 	trainedK int
 	// featuresFn resolves a bag to its raw feature vector at a fidelity
 	// tier — the generator's configured one, or phasesum.Fast under
-	// brownout; defaults to the shared cache and is swappable in tests
-	// (e.g. to inject slowness).
-	featuresFn func(bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error)
+	// brownout — and returns once ctx ends; defaults to the shared cache
+	// and is swappable in tests (e.g. to inject slowness).
+	featuresFn func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) (x []float64, fairness float64, hit bool, err error)
 	inflight   chan struct{}
 	// degradedSlots is the brownout admission pool, sized past MaxInFlight
 	// because fast-tier answers are orders of magnitude cheaper; nil when
@@ -128,6 +132,10 @@ type Server struct {
 	// fresh admissions degrade.
 	degradedSlots chan struct{}
 	watermark     int
+
+	// base parents every request's context; Shutdown cancels it past grace.
+	base       context.Context
+	cancelBase context.CancelFunc
 
 	mu      sync.Mutex
 	httpSrv *http.Server
@@ -197,13 +205,14 @@ func New(cfg Config) (*Server, error) {
 	s.metrics.SetFeatureCacheSource(s.cache.Stats)
 	s.metrics.SetFidelitySource(cfg.Generator.FidelityStats)
 	s.featuresFn = s.cachedFeatures
+	s.base, s.cancelBase = context.WithCancel(context.Background())
 	return s, nil
 }
 
 // cachedFeatures is the default featuresFn: the cross-request singleflight
 // cache with hit/miss accounting, each tier in its own key namespace.
-func (s *Server) cachedFeatures(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
-	x, fairness, hit, err := s.cache.get(bag, fid)
+func (s *Server) cachedFeatures(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+	x, fairness, hit, err := s.cache.get(ctx, bag, fid)
 	if err == nil {
 		if hit {
 			s.metrics.CacheHit()
@@ -300,6 +309,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return s.base },
 	}
 	s.mu.Lock()
 	if s.httpSrv != nil {
@@ -312,8 +322,10 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown gracefully stops the server: the listener closes immediately,
-// in-flight requests drain until ctx expires. Safe to call before Serve
-// (no-op) and concurrently with it.
+// in-flight requests drain until ctx expires. Past that, it cancels the
+// requests still in flight (they answer 503), waits up to cancelWait for
+// their handlers to return, closes what is left and returns ctx's error.
+// Safe to call before Serve (no-op) and concurrently with it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	srv := s.httpSrv
@@ -321,7 +333,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if srv == nil {
 		return nil
 	}
-	return srv.Shutdown(ctx)
+	err := srv.Shutdown(ctx)
+	if err != nil {
+		s.cancelBase()
+		wait, cancel := context.WithTimeout(context.Background(), cancelWait)
+		defer cancel()
+		if srv.Shutdown(wait) != nil {
+			_ = srv.Close()
+		}
+	}
+	return err
 }
 
 // parseBags validates and flattens the request into a list of member
@@ -357,7 +378,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ObserveRequest(code, time.Since(start))
 }
 
-// servePredict does the work and returns the status code written.
+// servePredict does the work and returns the status code written. The
+// admission slot lives exactly as long as the handler, and so does the work.
 func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -410,30 +432,16 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 			}
 		}
 	}
-	// The slot tracks *work*, not the handler: simulations are not
-	// cancellable mid-run, so a request that times out (504) leaves its
-	// measurement goroutine running — the slot must stay held until that
-	// work finishes, or a burst of slow bags would grow actual concurrent
-	// computes far past the admission bound (each 504 freeing a slot for
-	// the next admission while the previous simulation kept running).
-	// Until the goroutine is handed the slot, the handler's own returns
-	// release it.
 	s.metrics.IncInFlight()
 	if degraded {
 		s.metrics.IncDegradedInFlight()
 	}
-	release := func() {
+	defer func() {
 		s.metrics.DecInFlight()
 		if degraded {
 			s.metrics.DecDegradedInFlight()
 		}
 		<-slot
-	}
-	handedOff := false
-	defer func() {
-		if !handedOff {
-			release()
-		}
 	}()
 
 	// Honor a propagated deadline (X-Mapc-Deadline, remaining budget in
@@ -462,74 +470,60 @@ func (s *Server) servePredict(w http.ResponseWriter, r *http.Request) int {
 		return writeJSON(w, http.StatusBadRequest, ErrorResponse{err.Error()})
 	}
 
-	// Fan the bags out over the measurement worker pool, bounded by the
-	// request deadline. Simulations are not cancellable mid-run; on
-	// timeout the goroutine finishes in the background (still holding the
-	// admission slot) and its results land in the cache for the retry.
+	// Measure on this goroutine (a single bag never fans out) or the worker
+	// pool; ctx stops the simulators within one unit of work.
 	results := make([]BagResult, len(bags))
-	done := make(chan error, 1)
-	handedOff = true
 	fid := s.cache.tier
 	if degraded {
 		fid = phasesum.Fast
 	}
-	go func() {
-		err := parallel.ForEach(s.cfg.Workers, len(bags), func(i int) error {
-			if ctx.Err() != nil {
-				return ctx.Err() // deadline hit: stop claiming new bags
-			}
-			bag := make([]dataset.Member, len(bags[i]))
-			for j, m := range bags[i] {
-				bag[j] = m.member()
-			}
-			x, fairness, hit, err := s.featuresFn(bag, fid)
-			if err != nil {
-				return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
-			}
-			pred, err := s.cfg.Model.PredictRaw(x)
-			if err != nil {
-				return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
-			}
-			res := BagResult{
-				Members:      bags[i],
-				PredictedSec: pred, Fairness: fairness, Cached: hit,
-			}
-			if len(bags[i]) == 2 {
-				res.A, res.B = &bags[i][0], &bags[i][1]
-			}
-			results[i] = res
-			return nil
-		})
-		// Release the admission slot strictly before signalling
-		// completion, so a caller that saw the response can never observe
-		// the slot still held.
-		release()
-		done <- err
-	}()
-
-	select {
-	case <-ctx.Done():
+	err = parallel.ForEach(s.cfg.Workers, len(bags), func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err // abandoned: stop claiming new bags
+		}
+		bag := make([]dataset.Member, len(bags[i]))
+		for j, m := range bags[i] {
+			bag[j] = m.member()
+		}
+		x, fairness, hit, err := s.featuresFn(ctx, bag, fid)
+		if err != nil {
+			return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
+		}
+		pred, err := s.cfg.Model.PredictRaw(x)
+		if err != nil {
+			return fmt.Errorf("bag %d (%s): %w", i, dataset.BagKeyOf(bag), err)
+		}
+		res := BagResult{
+			Members:      bags[i],
+			PredictedSec: pred, Fairness: fairness, Cached: hit,
+		}
+		if len(bags[i]) == 2 {
+			res.A, res.B = &bags[i][0], &bags[i][1]
+		}
+		results[i] = res
+		return nil
+	})
+	switch {
+	case err == nil:
+	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.RejectTimeout()
 		return writeJSON(w, http.StatusGatewayTimeout,
 			ErrorResponse{fmt.Sprintf("deadline of %v exceeded", timeout)})
-	case err := <-done:
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.metrics.RejectTimeout()
-				return writeJSON(w, http.StatusGatewayTimeout,
-					ErrorResponse{fmt.Sprintf("deadline of %v exceeded", timeout)})
-			}
-			if panicRelated(err) {
-				// A measurement task died mid-flight; the worker pool (or
-				// the feature cache) contained it. Log the stack, keep it
-				// out of the response, and keep serving.
-				s.metrics.Panic()
-				log.Printf("serve: recovered panic in /v1/predict: %v", err)
-				return writeJSON(w, http.StatusInternalServerError,
-					ErrorResponse{"internal error: prediction task panicked (see server logs)"})
-			}
-			return writeJSON(w, http.StatusInternalServerError, ErrorResponse{err.Error()})
-		}
+	case errors.Is(err, context.Canceled):
+		// The client is gone or the server is shutting down past grace.
+		w.Header().Set("Retry-After", "1")
+		return writeJSON(w, http.StatusServiceUnavailable,
+			ErrorResponse{"request cancelled: client gone or server shutting down"})
+	case panicRelated(err):
+		// A measurement task died mid-flight; the worker pool (or the
+		// feature cache) contained it. Log the stack, keep it out of the
+		// response, and keep serving.
+		s.metrics.Panic()
+		log.Printf("serve: recovered panic in /v1/predict: %v", err)
+		return writeJSON(w, http.StatusInternalServerError,
+			ErrorResponse{"internal error: prediction task panicked (see server logs)"})
+	default:
+		return writeJSON(w, http.StatusInternalServerError, ErrorResponse{err.Error()})
 	}
 	s.metrics.Predictions(len(bags))
 	if degraded {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -241,9 +242,13 @@ func TestPredictParityAndCache(t *testing.T) {
 
 func TestPredictTimeout(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.RequestTimeout = 30 * time.Millisecond })
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
-		time.Sleep(500 * time.Millisecond)
-		return nil, 0, false, context.DeadlineExceeded
+	s.featuresFn = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+		select {
+		case <-time.After(500 * time.Millisecond):
+			return nil, 0, false, errors.New("simulation outlived its deadline")
+		case <-ctx.Done():
+			return nil, 0, false, ctx.Err()
+		}
 	}
 	rr := doJSON(t, s.Handler(), http.MethodPost, "/v1/predict",
 		`{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`)
@@ -258,9 +263,13 @@ func TestPredictTimeout(t *testing.T) {
 func TestPredictSaturation(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.MaxInFlight = 1 })
 	release := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
-		<-release
-		return nil, 0, false, fmt.Errorf("released")
+	s.featuresFn = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+		select {
+		case <-release:
+			return nil, 0, false, fmt.Errorf("released")
+		case <-ctx.Done():
+			return nil, 0, false, ctx.Err()
+		}
 	}
 	h := s.Handler()
 	body := `{"bag":[{"benchmark":"sift","batch":20},{"benchmark":"surf","batch":20}]}`
@@ -296,9 +305,13 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	s := newTestServer(t, nil)
 	inHandler := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s.featuresFn = func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
+	s.featuresFn = func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, bool, error) {
 		inHandler <- struct{}{}
-		<-release
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, 0, false, ctx.Err()
+		}
 		// Real features so the response is a genuine 200.
 		x, fairness, err := gen.BagFeatures(bag)
 		return x, fairness, false, err

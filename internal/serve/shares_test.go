@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"testing"
 
 	"mapc/internal/dataset"
@@ -44,7 +45,7 @@ func TestShareDomainQualifiesKeys(t *testing.T) {
 // entries per profile, and entries() only lists the cache's own profile.
 func TestSharedLRUSeparatesShareProfiles(t *testing.T) {
 	mk := func(shares string, val float64) *featureCache {
-		c := newStubFeatureCache(func(bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
+		c := newStubFeatureCache(func(ctx context.Context, bag []dataset.Member, fid phasesum.Fidelity) ([]float64, float64, error) {
 			return []float64{val}, val, nil
 		}, false, 1<<20)
 		c.shares = shares
@@ -54,11 +55,11 @@ func TestSharedLRUSeparatesShareProfiles(t *testing.T) {
 	skew := mk("0.7/0.3", 2)
 
 	bag := []dataset.Member{{Benchmark: "sift", Batch: 20}, {Benchmark: "surf", Batch: 20}}
-	xe, _, _, err := equal.get(bag, phasesum.Exact)
+	xe, _, _, err := equal.get(context.Background(), bag, phasesum.Exact)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs, _, _, err := skew.get(bag, phasesum.Exact)
+	xs, _, _, err := skew.get(context.Background(), bag, phasesum.Exact)
 	if err != nil {
 		t.Fatal(err)
 	}

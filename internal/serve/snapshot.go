@@ -134,9 +134,9 @@ func (s *Server) WarmFromPeer(ctx context.Context, client *http.Client, baseURL 
 
 // SetPeerFill installs the peer-fill hook: a feature-cache miss asks each
 // peer in turn for its published entry (GET /v1/cache/entry) before
-// simulating locally. timeout bounds each probe; peers that error or miss
-// are skipped silently — peer fill is an optimization, never a dependency.
-// Call before serving begins.
+// simulating locally. timeout and the request's deadline bound each probe;
+// peers that error or miss are skipped silently — peer fill is an
+// optimization, never a dependency. Call before serving begins.
 func (s *Server) SetPeerFill(client *http.Client, peers []string, timeout time.Duration) {
 	if len(peers) == 0 {
 		return
@@ -148,9 +148,9 @@ func (s *Server) SetPeerFill(client *http.Client, peers []string, timeout time.D
 		timeout = 2 * time.Second
 	}
 	width := s.cfg.Model.NumFeatures()
-	s.cache.fill = func(key string) ([]float64, float64, bool) {
+	s.cache.fill = func(ctx context.Context, key string) ([]float64, float64, bool) {
 		for _, p := range peers {
-			x, fairness, ok := fetchPeerEntry(client, p, key, timeout, width)
+			x, fairness, ok := fetchPeerEntry(ctx, client, p, key, timeout, width)
 			if ok {
 				s.metrics.PeerFillHit()
 				return x, fairness, true
@@ -161,9 +161,10 @@ func (s *Server) SetPeerFill(client *http.Client, peers []string, timeout time.D
 	}
 }
 
-// fetchPeerEntry asks one peer for one published cache entry.
-func fetchPeerEntry(client *http.Client, baseURL, key string, timeout time.Duration, width int) ([]float64, float64, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// fetchPeerEntry asks one peer for one published cache entry, within
+// timeout and the caller's ctx.
+func fetchPeerEntry(ctx context.Context, client *http.Client, baseURL, key string, timeout time.Duration, width int) ([]float64, float64, bool) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	u := baseURL + "/v1/cache/entry?key=" + url.QueryEscape(key)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)

@@ -1,6 +1,9 @@
 package simcache
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +30,7 @@ func TestLookupOutcomes(t *testing.T) {
 	}
 	first := make(chan res, 1)
 	go func() {
-		v, o, err := c.Lookup(k, func() (any, int64, error) {
+		v, o, err := c.Lookup(context.Background(), k, func() (any, int64, error) {
 			close(entered)
 			<-release
 			return "value", 8, nil
@@ -40,7 +43,7 @@ func TestLookupOutcomes(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		v, o, err := c.Lookup(k, okCompute("wrong", 8))
+		v, o, err := c.Lookup(context.Background(), k, okCompute("wrong", 8))
 		second <- res{v, o, err}
 	}()
 	// The waiter must attach to the in-flight entry before release; its
@@ -65,7 +68,7 @@ func TestLookupOutcomes(t *testing.T) {
 		t.Errorf("waiter received %v, want the winner's value", r2.v)
 	}
 
-	v, o, err := c.Lookup(k, okCompute("also wrong", 8))
+	v, o, err := c.Lookup(context.Background(), k, okCompute("also wrong", 8))
 	if err != nil || v != "value" || o != OutcomeHit {
 		t.Errorf("published lookup: v=%v outcome=%v err=%v, want value/OutcomeHit/nil", v, o, err)
 	}
@@ -104,7 +107,7 @@ func TestSeed(t *testing.T) {
 	if v, ok := c.Peek(k); !ok || v != "seeded" {
 		t.Fatalf("Peek after Seed: %v %v", v, ok)
 	}
-	v, o, err := c.Lookup(k, okCompute("computed", 16))
+	v, o, err := c.Lookup(context.Background(), k, okCompute("computed", 16))
 	if err != nil || v != "seeded" || o != OutcomeHit {
 		t.Fatalf("Lookup after Seed: v=%v outcome=%v err=%v", v, o, err)
 	}
@@ -153,7 +156,7 @@ func TestPeek(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = c.Lookup(k, func() (any, int64, error) {
+		_, _, _ = c.Lookup(context.Background(), k, func() (any, int64, error) {
 			close(entered)
 			<-release
 			return "v", 8, nil
@@ -185,12 +188,12 @@ func TestItems(t *testing.T) {
 		{Domain: "t/items", Config: "c"},
 	}
 	for i, k := range keys {
-		if _, _, err := c.Lookup(k, okCompute(i, 8)); err != nil {
+		if _, _, err := c.Lookup(context.Background(), k, okCompute(i, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch "a" so recency is a,c,b (MRU-first).
-	if _, _, err := c.Lookup(keys[0], okCompute(-1, 8)); err != nil {
+	if _, _, err := c.Lookup(context.Background(), keys[0], okCompute(-1, 8)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,4 +235,117 @@ func TestItems(t *testing.T) {
 
 	var nilCache *Cache
 	nilCache.Items(func(Key, any, int64) bool { t.Fatal("nil cache iterated"); return false })
+}
+
+// waitForHits polls until the cache has counted n hits: a waiter counts
+// its hit under the lock just before it blocks on the in-flight entry, so
+// this is the observable "waiter attached" point.
+func waitForHits(t *testing.T, c *Cache, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Hits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("no waiter attached (stats %+v)", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCancelledLeaderWaitersRetry: a leader whose own context ends fails
+// with a context error; the waiters that joined it retry and compute under
+// their own live context instead of sharing the leader's cancellation.
+// Both the Lookup and the GetOrCompute paths retry.
+func TestCancelledLeaderWaitersRetry(t *testing.T) {
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		for _, viaGetOrCompute := range []bool{false, true} {
+			c := MustNew(1 << 20)
+			k := Key{Domain: "t/cancel", Config: cause.Error()}
+			entered, release := make(chan struct{}), make(chan struct{})
+			leaderErr := make(chan error, 1)
+			go func() {
+				_, _, err := c.Lookup(context.Background(), k, func() (any, int64, error) {
+					close(entered)
+					<-release
+					return nil, 0, fmt.Errorf("leader gave up: %w", cause)
+				})
+				leaderErr <- err
+			}()
+			<-entered
+
+			type res struct {
+				v       any
+				outcome Outcome
+				err     error
+			}
+			waiter := make(chan res, 1)
+			go func() {
+				if viaGetOrCompute {
+					v, hit, err := c.GetOrCompute(k, okCompute("waiter's own", 8))
+					o := OutcomeComputed
+					if hit {
+						o = OutcomeWaited
+					}
+					waiter <- res{v, o, err}
+					return
+				}
+				v, o, err := c.Lookup(context.Background(), k, okCompute("waiter's own", 8))
+				waiter <- res{v, o, err}
+			}()
+			waitForHits(t, c, 1)
+			close(release)
+
+			if err := <-leaderErr; !errors.Is(err, cause) {
+				t.Fatalf("%v: leader error %v", cause, err)
+			}
+			r := <-waiter
+			if r.err != nil || r.v != "waiter's own" || r.outcome != OutcomeComputed {
+				t.Fatalf("%v (GetOrCompute=%v): waiter got v=%v outcome=%v err=%v, want its own computed value",
+					cause, viaGetOrCompute, r.v, r.outcome, r.err)
+			}
+			if v, ok := c.Peek(k); !ok || v != "waiter's own" {
+				t.Fatalf("%v: the retry's value is not published: %v %v", cause, v, ok)
+			}
+			if st := c.Stats(); st.Misses != 2 || st.Hits != 1 {
+				t.Errorf("%v: stats %+v, want 2 misses (leader, retry) and 1 hit (the wait)", cause, st)
+			}
+		}
+	}
+}
+
+// TestWaiterStopsOnOwnContext: a waiter whose context ends returns its
+// context error at once, while the leader's compute runs on and publishes.
+func TestWaiterStopsOnOwnContext(t *testing.T) {
+	c := MustNew(1 << 20)
+	k := Key{Domain: "t/waiter-ctx"}
+	entered, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, _, err := c.Lookup(context.Background(), k, func() (any, int64, error) {
+			close(entered)
+			<-release
+			return "leader's", 8, nil
+		})
+		leader <- err
+	}()
+	<-entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := c.Lookup(ctx, k, okCompute("never", 8))
+		waiter <- err
+	}()
+	waitForHits(t, c, 1)
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+	}
+
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.Peek(k); !ok || v != "leader's" {
+		t.Fatalf("leader's value not published after the waiter left: %v %v", v, ok)
+	}
 }

@@ -20,6 +20,8 @@
 // values. A panicking compute poisons nobody: the entry is evicted, the
 // panic propagates to the caller (where the worker pool's containment
 // converts it into a typed error), and waiters receive a retryable error.
+// A compute cancelled by its caller's context poisons nobody either: its
+// waiters retry the lookup instead of sharing the cancellation (Lookup).
 //
 // Bounding: every entry carries a caller-reported byte size; when the
 // total exceeds the configured budget the least-recently-used entries are
@@ -30,6 +32,8 @@
 package simcache
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -64,7 +68,7 @@ type Key struct {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits      int64 // lookups served from a published entry (incl. singleflight waits)
+	Hits      int64 // lookups served from a published entry (incl. singleflight waits, one per attempt)
 	Misses    int64 // lookups that ran the compute function
 	Evictions int64 // entries dropped by the LRU bound
 	Bytes     int64 // resident entry bytes (caller-reported)
@@ -161,7 +165,7 @@ const (
 // A nil receiver runs compute directly — the cold path, bit-identical by
 // construction.
 func (c *Cache) GetOrCompute(key Key, compute func() (value any, bytes int64, err error)) (any, bool, error) {
-	v, outcome, err := c.Lookup(key, compute)
+	v, outcome, err := c.Lookup(context.Background(), key, compute)
 	return v, outcome != OutcomeComputed, err
 }
 
@@ -169,28 +173,46 @@ func (c *Cache) GetOrCompute(key Key, compute func() (value any, bytes int64, er
 // Outcome for when the distinction matters. Counter semantics are
 // unchanged: OutcomeHit and OutcomeWaited both count as hits, only
 // OutcomeComputed counts as a miss.
-func (c *Cache) Lookup(key Key, compute func() (value any, bytes int64, err error)) (any, Outcome, error) {
+//
+// ctx bounds this caller's wait only: a caller whose ctx ends while
+// another goroutine computes the key returns ctx.Err() at once, and that
+// compute runs on. compute itself is the caller's to make cancellable. A
+// compute error that is a context error (context.Canceled or
+// context.DeadlineExceeded) belongs to the caller that ran it, not to the
+// key: waiters that joined it retry the lookup — the first to retry
+// computes under its own ctx — instead of sharing the error.
+func (c *Cache) Lookup(ctx context.Context, key Key, compute func() (value any, bytes int64, err error)) (any, Outcome, error) {
 	if c == nil {
 		v, _, err := compute()
 		return v, OutcomeComputed, err
 	}
 
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	for {
+		e, ok := c.entries[key]
+		if !ok {
+			break
+		}
+		c.hits++
 		select {
 		case <-e.done:
 			// Published: bump recency under the same lock.
 			c.moveToFront(e)
-			c.hits++
 			c.mu.Unlock()
 			return e.val, OutcomeHit, e.err
 		default:
-			// In flight: wait outside the lock.
-			c.hits++
-			c.mu.Unlock()
-			<-e.done
+		}
+		// In flight: wait outside the lock.
+		c.mu.Unlock()
+		select {
+		case <-e.done:
+		case <-ctx.Done():
+			return nil, OutcomeWaited, ctx.Err()
+		}
+		if !cancelled(e.err) {
 			return e.val, OutcomeWaited, e.err
 		}
+		c.mu.Lock()
 	}
 	e := &entry{key: key, done: make(chan struct{})}
 	c.entries[key] = e
@@ -239,6 +261,12 @@ func (c *Cache) Lookup(key Key, compute func() (value any, bytes int64, err erro
 	c.mu.Unlock()
 	close(e.done)
 	return val, OutcomeComputed, nil
+}
+
+// cancelled reports whether err is a context cancellation or deadline:
+// the computing caller gave up, which says nothing about the key.
+func cancelled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // Peek returns the published value for key without waiting on an in-flight

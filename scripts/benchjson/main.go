@@ -84,7 +84,7 @@ func main() {
 	input := flag.String("input", "", "record mode: comma-separated saved `go test -bench` output files to parse instead of running benchmarks")
 	check := flag.String("check", "", "check mode: baseline file to gate against (re-runs the gated microbenchmarks)")
 	factor := flag.Float64("factor", 2.0, "check mode: fail when fresh ns/op > factor x baseline")
-	benchtime := flag.String("benchtime", "", "passed to `go test -benchtime` (empty = go default)")
+	benchtime := flag.String("benchtime", "", "passed to `go test -benchtime` (empty = go default, and 3x for the exact fidelity tier)")
 	corpus := flag.Bool("corpus", true, "record mode: also run the slow corpus-generation benchmark")
 	fidelity := flag.Bool("fidelity", false, "record mode: also run the per-tier fidelity benchmark and the differential exactness oracle")
 	oracleFrac := flag.Float64("oracle-frac", 0.1, "record mode with -fidelity: fraction of bags the oracle re-measures exactly")
@@ -157,11 +157,24 @@ func runRecord(label, out, input, benchtime string, corpus, fidelity bool, oracl
 			outputs = append(outputs, c)
 		}
 		if fidelity {
-			c, err := goBench("./internal/dataset", "BenchmarkFidelityCorpus", benchtime)
-			if err != nil {
-				return err
+			// At go's default benchtime the exact tier, about a corpus a
+			// second, gets a single iteration, and two records of the same
+			// code differ by a third. Unless -benchtime is given, it runs
+			// three; the cheaper tiers keep the default.
+			runs := [][2]string{{"BenchmarkFidelityCorpus", benchtime}}
+			if benchtime == "" {
+				runs = [][2]string{
+					{"BenchmarkFidelityCorpus/^exact$", "3x"},
+					{"BenchmarkFidelityCorpus/^(mixed|fast)$", ""},
+				}
 			}
-			outputs = append(outputs, c)
+			for _, r := range runs {
+				c, err := goBench("./internal/dataset", r[0], r[1])
+				if err != nil {
+					return err
+				}
+				outputs = append(outputs, c)
+			}
 		}
 	}
 
